@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race bench bench-compare tables cover fmt vet lint lint-baseline lint-sarif daemon-smoke clean
+.PHONY: all build test test-race bench bench-compare perfbench tables cover fmt vet lint lint-baseline lint-sarif daemon-smoke clean
 
 all: build test lint
 
@@ -14,13 +14,12 @@ test-race:
 	$(GO) test -race ./...
 
 # Perf artifact: the paper tables/ablations (one full solve per op), the
-# multilevel V-cycle sweep, plus the kernel micro-benchmarks (the
-# sparse-vs-dense representation sweeps, the bit-packed membership kernels,
-# and the text-vs-binary serializers), 6 repetitions each, folded into
-# BENCH_PR10.json (ns/op, allocs/op, and the finalWL quality metric per
-# instance).
+# multilevel V-cycle sweep, plus the kernel micro-benchmarks (the CSR
+# density sweeps, the bit-packed membership kernels, and the text-vs-binary
+# serializers), 6 repetitions each, folded into BENCH_PR10.json (ns/op,
+# allocs/op, and the finalWL quality metric per instance).
 BENCHJSON ?= BENCH_PR10.json
-BENCH_MICRO = ComputeEta|PenalizedValue|GAPSolve|SolveWorkers|EtaIncrementalSweep|BitsetMembership|BinaryReadWrite
+BENCH_MICRO = ComputeEta|PenalizedValue|GAPSolve|EtaIncrementalSweep|BitsetMembership|BinaryReadWrite
 
 bench:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -39,6 +38,14 @@ bench:
 BENCH_OLD ?= BENCH_BASELINE.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare -threshold 1.25 $(BENCH_OLD) $(BENCHJSON)
+
+# End-to-end benchmark declared in BENCHMARK.json: one untraced 35 s run of
+# each workload, each ending in a JSON line of its metrics. See
+# perfbench/README.md for the workloads, traced runs and regression bounds.
+perfbench:
+	@set -e; for w in paper-t3 vcycle-10k service-mix; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 35 --trace 0; \
+	done
 
 # Regenerate the paper's Tables I-III end to end.
 tables:

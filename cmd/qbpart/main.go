@@ -9,7 +9,6 @@
 //	qbpart -in ckta.prob -method qbp -multistart 4
 //	qbpart -in ckta.prob -method qbp -timeout 2s      # best-so-far at deadline
 //	qbpart -in ckta.prob -method qbp -progress 500ms  # periodic progress line
-//	qbpart -in ckta.prob -method qbp -matrix dense    # force a coupling representation
 //	qbpart -in big.prob -multilevel -coarsen-target 2048  # V-cycle for huge instances
 //	qbpart -in ckta.prob -method gkl -relax-timing
 //	qbpart -in ckta.prob -initial ckta.assign -method gfm
@@ -58,10 +57,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		initial    = fs.String("initial", "", "initial assignment file (default: generated feasible start)")
 		out        = fs.String("o", "", "write the final assignment to this file")
 		multistart = fs.Int("multistart", 1, "independent QBP starts run concurrently (qbp only, must be >= 1)")
-		workers    = fs.Int("workers", 1, "goroutines sharding each solve's inner loops; results are identical for any value (qbp only, must be >= 1)")
 		timeout    = fs.Duration("timeout", 0, "wall-clock budget for the solve; at expiry the best solution found so far is reported (0 = none)")
 		progress   = fs.Duration("progress", 0, "print a progress line to stderr at most this often (qbp only, 0 = off)")
-		matrix     = fs.String("matrix", "auto", "coupling-matrix representation: auto, sparse or dense (qbp only; results are identical for any value)")
 		mlevel     = fs.Bool("multilevel", false, "solve with the multi-level V-cycle: coarsen, solve the coarsest level with qbp, refine per level (qbp only)")
 		coarsenTgt = fs.Int("coarsen-target", 0, "coarsest-level size handed to the flat solver (multilevel only, 0 = default)")
 		check      = fs.String("check", "", "validate this assignment file against the problem and exit")
@@ -93,18 +90,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *multistart < 1 {
 		return usageError(fmt.Sprintf("-multistart must be >= 1 (got %d)", *multistart))
 	}
-	if *workers < 1 {
-		return usageError(fmt.Sprintf("-workers must be >= 1 (got %d)", *workers))
-	}
 	if *timeout < 0 {
 		return usageError(fmt.Sprintf("-timeout must be >= 0 (got %v)", *timeout))
 	}
 	if *progress < 0 {
 		return usageError(fmt.Sprintf("-progress must be >= 0 (got %v)", *progress))
-	}
-	matrixRep, merr := partition.ParseMatrixRep(*matrix)
-	if merr != nil {
-		return usageError(fmt.Sprintf("-matrix must be auto, sparse or dense (got %q)", *matrix))
 	}
 	if *mlevel && *method != "qbp" {
 		return usageError(fmt.Sprintf("-multilevel requires -method qbp (got %q)", *method))
@@ -234,8 +224,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Initial:     start,
 			RelaxTiming: *relax,
 			Seed:        *seed,
-			Workers:     *workers,
-			Matrix:      matrixRep,
 			OnProgress:  progressPrinter(stderr, *progress),
 		}
 		if *mlevel {
@@ -299,8 +287,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if stats != nil {
 		fmt.Fprintf(stdout, "iterations       %d (%d starts, %d restarts)\n",
 			stats.Iterations, stats.Starts, stats.Restarts)
-		fmt.Fprintf(stdout, "matrix           %s (density %.4f, %d arcs)\n",
-			stats.Matrix, stats.Density, stats.NNZ)
+		fmt.Fprintf(stdout, "arcs             %d (density %.4f)\n",
+			stats.NNZ, stats.Density)
 	}
 	if levels != nil {
 		sizes := make([]string, len(levels))

@@ -56,10 +56,12 @@ func TestFlagValidation(t *testing.T) {
 		{"bad-iterations", []string{"-in", "x.prob", "-iterations", "0"}, "-iterations must be >= 1"},
 		{"bad-multistart", []string{"-in", "x.prob", "-multistart", "0"}, "-multistart must be >= 1"},
 		{"negative-multistart", []string{"-in", "x.prob", "-multistart", "-3"}, "-multistart must be >= 1"},
-		{"bad-workers", []string{"-in", "x.prob", "-workers", "0"}, "-workers must be >= 1"},
+		// qbpart has no shard-count or coupling-representation flag:
+		// passing either is a usage error, never silently ignored.
+		{"bad-workers", []string{"-in", "x.prob", "-workers", "2"}, "flag provided but not defined: -workers"},
+		{"bad-matrix", []string{"-in", "x.prob", "-matrix", "sparse"}, "flag provided but not defined: -matrix"},
 		{"bad-timeout", []string{"-in", "x.prob", "-timeout", "-1s"}, "-timeout must be >= 0"},
 		{"bad-progress", []string{"-in", "x.prob", "-progress", "-1s"}, "-progress must be >= 0"},
-		{"bad-matrix", []string{"-in", "x.prob", "-matrix", "csr"}, `-matrix must be auto, sparse or dense (got "csr")`},
 		{"unparsable-flag", []string{"-in", "x.prob", "-iterations", "many"}, "invalid value"},
 	}
 	for _, tc := range cases {
@@ -98,7 +100,7 @@ func TestReportLines(t *testing.T) {
 		t.Fatalf("exit = %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"method           qbp", "cpu  ", "iterations       ", "matrix           ", "start WL         "} {
+	for _, want := range []string{"method           qbp", "cpu  ", "iterations       ", "arcs             ", "start WL         "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("qbp report missing %q:\n%s", want, out)
 		}
@@ -120,7 +122,7 @@ func TestReportLines(t *testing.T) {
 	if !strings.Contains(out, "method           gkl") {
 		t.Errorf("gkl report missing method line:\n%s", out)
 	}
-	for _, absent := range []string{"iterations       ", "matrix           "} {
+	for _, absent := range []string{"iterations       ", "arcs             "} {
 		if strings.Contains(out, absent) {
 			t.Errorf("gkl report has QBP-only line %q:\n%s", absent, out)
 		}

@@ -9,7 +9,7 @@
 //
 //	POST   /jobs             submit a problem (text or binary body, auto-detected);
 //	                         knobs as query parameters: method, iterations,
-//	                         multistart, workers, seed, relax, deadline, priority
+//	                         multistart, seed, relax, deadline, priority
 //	GET    /jobs             list jobs
 //	GET    /jobs/{id}        job status + result
 //	GET    /jobs/{id}/events SSE progress stream (state, progress, done)

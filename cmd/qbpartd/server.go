@@ -85,7 +85,6 @@ type statsBody struct {
 	Restarts       int     `json:"restarts"`
 	EtaFull        int     `json:"eta_full"`
 	EtaIncremental int     `json:"eta_incremental"`
-	Matrix         string  `json:"matrix"`
 	Density        float64 `json:"density"`
 	NNZ            int     `json:"nnz"`
 }
@@ -117,8 +116,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 
 // handleSubmit enqueues a solve: the body is the problem in the text or
 // binary format (auto-detected), the query parameters are the solve knobs
-// (method, iterations, multistart, workers, seed, relax, deadline,
-// priority).
+// (method, iterations, multistart, seed, relax, deadline, priority).
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	prob, format, err := partition.ReadProblemDetect(body)
@@ -142,10 +140,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := queryInt(q.Get("multistart"), &req.MultiStart); err != nil {
 		writeError(w, http.StatusBadRequest, "multistart: "+err.Error())
-		return
-	}
-	if err := queryInt(q.Get("workers"), &req.Workers); err != nil {
-		writeError(w, http.StatusBadRequest, "workers: "+err.Error())
 		return
 	}
 	if err := queryInt(q.Get("priority"), &req.Priority); err != nil {
@@ -263,7 +257,6 @@ func statusOf(st jobqueue.Status) statusResponse {
 					Restarts:       s.Restarts,
 					EtaFull:        s.EtaFull,
 					EtaIncremental: s.EtaIncremental,
-					Matrix:         s.Matrix,
 					Density:        s.Density,
 					NNZ:            s.NNZ,
 				}

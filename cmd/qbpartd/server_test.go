@@ -255,6 +255,31 @@ func TestDeadlineReturnsStopped(t *testing.T) {
 	}
 }
 
+// TestHugeMultistartKeepsServing: a multistart count no solve can finish
+// runs to the job deadline and completes with its best-so-far, and the
+// daemon keeps answering afterwards.
+func TestHugeMultistartKeepsServing(t *testing.T) {
+	assertNoGoroutineLeak(t)
+	ts, _ := newTestDaemon(t, jobqueue.Config{Workers: 1, QueueCap: 4})
+	body := problemBytes(t, 35, 30, false)
+	ack, resp := postJob(t, ts, body, "method=qbp&iterations=5&seed=3&deadline=200ms&multistart=9223372036854775807")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST: %d", resp.StatusCode)
+	}
+	st := pollDone(t, ts, ack.ID)
+	if st.State != "done" || st.Result == nil || !st.Result.Stopped || len(st.Result.Assignment) != 30 {
+		t.Fatalf("huge multistart: state %q, want done with a stopped 30-component result", st.State)
+	}
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz after the job: %d", hresp.StatusCode)
+	}
+}
+
 // TestQueueFull429: backpressure answers 429 with a Retry-After hint.
 func TestQueueFull429(t *testing.T) {
 	assertNoGoroutineLeak(t)

@@ -35,9 +35,6 @@ type Config struct {
 	KLMaxPasses int
 	// Seed drives the initial-solution generation.
 	Seed int64
-	// Workers shards each QBP solve's inner loops; the reported numbers
-	// are identical for any value (see qbp.Options.Workers).
-	Workers int
 }
 
 // MethodResult is one method's outcome on one circuit.
@@ -111,7 +108,6 @@ func runCircuit(name string, cfg Config) (Row, error) {
 		Initial:     initial,
 		RelaxTiming: relax,
 		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
 	})
 	if err != nil {
 		return Row{}, fmt.Errorf("qbp: %w", err)

@@ -62,9 +62,6 @@ type Request struct {
 	// MultiStart runs this many independent seeded QBP starts (qbp only;
 	// ≤ 1 = single start).
 	MultiStart int
-	// Workers shards the solve's inner loops; results are identical for
-	// any value (qbp only; ≤ 1 = serial).
-	Workers int
 	// Seed drives every randomized choice; a fixed seed reproduces the
 	// identical assignment regardless of pool size or queue order.
 	Seed int64

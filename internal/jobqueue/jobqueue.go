@@ -376,7 +376,6 @@ func (p *Pool) solve(ctx context.Context, j *Job, warm *qbp.Scratch) (*Outcome, 
 			Iterations:  req.Iterations,
 			Seed:        req.Seed,
 			RelaxTiming: req.RelaxTiming,
-			Workers:     req.Workers,
 			OnProgress:  progress,
 		}
 		if req.MultiStart > 1 {

@@ -240,15 +240,16 @@ func TestVCycleQuality(t *testing.T) {
 		100*(float64(ml.Objective)/float64(flat.Objective)-1), len(ml.Levels))
 }
 
-// TestWorkersBitIdentical: Workers only shards the coarse multistart solve,
-// which is bit-identical by contract; coarsening and refinement are serial.
-// The whole V-cycle must therefore be bit-identical across worker counts.
+// TestWorkersBitIdentical: Workers only spreads the coarse multistart's
+// starts over goroutines, whose reduction is bit-identical by contract;
+// coarsening and refinement are serial. The whole V-cycle must therefore be
+// bit-identical across worker counts.
 func TestWorkersBitIdentical(t *testing.T) {
 	p := testInstance(t, 900, 3800, 1300, 6)
 	run := func(workers int) *Result {
 		res, err := Solve(context.Background(), p, Options{
 			Coarse: qbp.MultiStartOptions{
-				Base:    qbp.Options{Iterations: 20, Seed: 13, Workers: workers},
+				Base:    qbp.Options{Iterations: 20, Seed: 13},
 				Starts:  4,
 				Workers: workers,
 			},

@@ -3,18 +3,16 @@ package qbp
 // Property tests for the bit-packed membership kernels: the bitset fast
 // paths (moved-set diff, dirty-column discovery, popcount partition sizes)
 // must be bit-exact against plain bool-slice references recomputed
-// independently in the test, across random assignments, both coupling
-// representations, and every Workers setting — and cancellation must stay
-// transparent to all of it. The packed layout is a cost model, never a
-// behavior (same contract as sparse_test.go states for the matrix rep).
+// independently in the test, across random assignments and every
+// multistart worker count — and cancellation must stay transparent to all
+// of it. The packed layout is a cost model, never a behavior.
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"repro/internal/sparsemat"
 )
 
 // TestBitsetDirtyDiscoveryBitExact drives refreshEta over random small
@@ -26,11 +24,7 @@ func TestBitsetDirtyDiscoveryBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
 		p := repTestInstance(rng, trial)
-		rep := sparsemat.RepSparse
-		if trial%2 == 1 {
-			rep = sparsemat.RepDense
-		}
-		s := newTestSolverRep(p, DefaultPenalty, trial%5 == 4, rep)
+		s := newTestSolver(p, DefaultPenalty, trial%5 == 4)
 		u := make([]int, s.n)
 		for j := range u {
 			u[j] = rng.Intn(s.m)
@@ -97,7 +91,7 @@ func TestBitsetDirtyDiscoveryBitExact(t *testing.T) {
 			}
 
 			// η itself must equal a from-scratch rebuild.
-			fresh := newTestSolverRep(p, DefaultPenalty, trial%5 == 4, rep)
+			fresh := newTestSolver(p, DefaultPenalty, trial%5 == 4)
 			want := fresh.refreshEta(u, withOmega)
 			for r := range want {
 				if got[r] != want[r] {
@@ -110,36 +104,32 @@ func TestBitsetDirtyDiscoveryBitExact(t *testing.T) {
 	}
 }
 
-// TestBitsetSolveInvariantAcrossWorkers pins the tentpole determinism
-// contract end to end: a fixed seed yields the bit-identical assignment for
-// every Workers count and both coupling representations, with the packed
-// membership kernels underneath all of them.
+// TestBitsetSolveInvariantAcrossWorkers pins the determinism contract end
+// to end: a fixed seed yields the bit-identical multistart assignment for
+// every worker count, with the packed membership kernels underneath.
 func TestBitsetSolveInvariantAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 4; trial++ {
 		p := repTestInstance(rng, trial)
 		var ref *Result
-		for _, rep := range []sparsemat.Rep{sparsemat.RepSparse, sparsemat.RepDense} {
-			for _, workers := range []int{1, 2, 8} {
-				res, err := Solve(context.Background(), p, Options{
-					Iterations: 25, Seed: int64(trial), Workers: workers, Matrix: rep,
-				})
-				if err != nil {
-					t.Fatalf("trial %d rep=%v w=%d: %v", trial, rep, workers, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if res.Objective != ref.Objective || res.Penalized != ref.Penalized {
-					t.Fatalf("trial %d rep=%v w=%d: objective %d/%d, reference %d/%d",
-						trial, rep, workers, res.Objective, res.Penalized, ref.Objective, ref.Penalized)
-				}
-				for j := range ref.Assignment {
-					if res.Assignment[j] != ref.Assignment[j] {
-						t.Fatalf("trial %d rep=%v w=%d: assignment diverged at component %d",
-							trial, rep, workers, j)
-					}
+		for _, workers := range []int{1, 2, 8} {
+			res, err := SolveMultiStart(context.Background(), p, MultiStartOptions{
+				Base: Options{Iterations: 25, Seed: int64(trial)}, Starts: 4, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("trial %d w=%d: %v", trial, workers, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if res.Objective != ref.Objective || res.Penalized != ref.Penalized {
+				t.Fatalf("trial %d w=%d: objective %d/%d, reference %d/%d",
+					trial, workers, res.Objective, res.Penalized, ref.Objective, ref.Penalized)
+			}
+			for j := range ref.Assignment {
+				if res.Assignment[j] != ref.Assignment[j] {
+					t.Fatalf("trial %d w=%d: assignment diverged at component %d", trial, workers, j)
 				}
 			}
 		}
@@ -147,20 +137,36 @@ func TestBitsetSolveInvariantAcrossWorkers(t *testing.T) {
 }
 
 // TestBitsetCancellationTransparent cancels solves at a fixed iteration
-// boundary across Workers values and asserts the incumbents coincide: the
-// packed kernels cannot make cancellation observable in the result.
+// boundary and asserts that the returned incumbent is exactly the one an
+// uncancelled run of the same seed held at that boundary (as its progress
+// snapshot reports it), and that a second cancelled run through a reused
+// scratch returns the identical assignment: the packed kernels cannot make
+// cancellation observable in the result.
 func TestBitsetCancellationTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var warm Scratch
 	for trial := 0; trial < 4; trial++ {
 		p := repTestInstance(rng, trial)
 		stopAt := 3 + trial
-		run := func(workers int) *Result {
+		var atStop Progress
+		if _, err := Solve(context.Background(), p, Options{
+			Iterations: 50,
+			Seed:       int64(trial),
+			OnProgress: func(pr Progress) {
+				if pr.Iteration == stopAt {
+					atStop = pr
+				}
+			},
+		}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		run := func(sc *Scratch) *Result {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			res, err := Solve(ctx, p, Options{
 				Iterations: 50,
 				Seed:       int64(trial),
-				Workers:    workers,
+				Scratch:    sc,
 				OnIteration: func(it Iteration) {
 					if it.K == stopAt {
 						cancel()
@@ -168,24 +174,33 @@ func TestBitsetCancellationTransparent(t *testing.T) {
 				},
 			})
 			if err != nil {
-				t.Fatalf("trial %d w=%d: %v", trial, workers, err)
+				t.Fatalf("trial %d: %v", trial, err)
 			}
 			return res
 		}
-		ref := run(1)
-		for _, workers := range []int{2, 8} {
-			got := run(workers)
-			if !ref.Stopped || !got.Stopped {
-				t.Fatalf("trial %d: stopped w1=%v w%d=%v, want both", trial, ref.Stopped, workers, got.Stopped)
+		ref := run(nil)
+		if !ref.Stopped || ref.Iterations != stopAt {
+			t.Fatalf("trial %d: stopped=%v after %d iterations, want stopped after %d",
+				trial, ref.Stopped, ref.Iterations, stopAt)
+		}
+		switch {
+		case atStop.BestFeasible != math.MaxInt64:
+			if !ref.Feasible || ref.Objective != atStop.BestFeasible {
+				t.Fatalf("trial %d: cancelled result %d (feasible %v), incumbent at iteration %d was feasible %d",
+					trial, ref.Objective, ref.Feasible, stopAt, atStop.BestFeasible)
 			}
-			if got.Objective != ref.Objective || got.Penalized != ref.Penalized {
-				t.Fatalf("trial %d w=%d: cancelled objectives diverged: %d/%d vs %d/%d",
-					trial, workers, got.Objective, got.Penalized, ref.Objective, ref.Penalized)
-			}
-			for j := range ref.Assignment {
-				if got.Assignment[j] != ref.Assignment[j] {
-					t.Fatalf("trial %d w=%d: cancelled assignment diverged at component %d", trial, workers, j)
-				}
+		case ref.Penalized != atStop.BestPenalized:
+			t.Fatalf("trial %d: cancelled penalized %d, incumbent at iteration %d was %d",
+				trial, ref.Penalized, stopAt, atStop.BestPenalized)
+		}
+		got := run(&warm)
+		if got.Objective != ref.Objective || got.Penalized != ref.Penalized {
+			t.Fatalf("trial %d: cancelled objectives diverged: %d/%d vs %d/%d",
+				trial, got.Objective, got.Penalized, ref.Objective, ref.Penalized)
+		}
+		for j := range ref.Assignment {
+			if got.Assignment[j] != ref.Assignment[j] {
+				t.Fatalf("trial %d: cancelled assignment diverged at component %d", trial, j)
 			}
 		}
 	}

@@ -3,11 +3,13 @@ package qbp
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/adjacency"
 	"repro/internal/model"
 	"repro/internal/testgen"
 )
@@ -73,6 +75,34 @@ func TestMultiStartDeadlineBestSoFar(t *testing.T) {
 	}
 	norm := p.Normalized()
 	if len(res.Assignment) != p.N() || !norm.CapacityFeasible(res.Assignment) {
+		t.Fatal("best-so-far assignment is not capacity-feasible")
+	}
+	if res.Stats.Starts < 1 {
+		t.Fatalf("reduction folded %d starts, want >= 1", res.Stats.Starts)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestMultiStartHugeStartCount: a start count far beyond what can finish
+// must not be allocated up front. The solve runs to its deadline and
+// returns the best-so-far with Stopped set.
+func TestMultiStartHugeStartCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	p, _ := testgen.Random(rng, testgen.Config{N: 30, TimingProb: 0.3})
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	res, err := SolveMultiStart(ctx, p, MultiStartOptions{
+		Base:   Options{Iterations: 5, Seed: 2},
+		Starts: math.MaxInt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped {
+		t.Fatal("deadline expired but Stopped not set")
+	}
+	if len(res.Assignment) != p.N() || !p.Normalized().CapacityFeasible(res.Assignment) {
 		t.Fatal("best-so-far assignment is not capacity-feasible")
 	}
 	if res.Stats.Starts < 1 {
@@ -193,5 +223,9 @@ func TestMultiStartStatsAggregates(t *testing.T) {
 	}
 	if res.Stats.Iterations < 10 {
 		t.Fatalf("aggregate iterations = %d, want >= 10", res.Stats.Iterations)
+	}
+	if nnz := adjacency.Build(p.Normalized().Circuit).NNZ(); res.Stats.NNZ != nnz || res.Stats.Density <= 0 {
+		t.Fatalf("Stats.NNZ = %d (density %v), want %d arcs and a positive density",
+			res.Stats.NNZ, res.Stats.Density, nnz)
 	}
 }

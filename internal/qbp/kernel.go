@@ -8,24 +8,17 @@ import (
 )
 
 // This file holds the flat performance kernels under the solve loop: the
-// per-delay-class effective-row cache (flatmat.Kernel), the CSR/dense
-// coupling representations (sparsemat), the flat item-major η/h vectors,
-// and the incremental η maintenance. All flat vectors use the qmatrix.Pack
-// layout — entry (partition i, component j) lives at Pack(i, j, m) = i + j·m,
-// so the per-component column is the contiguous subslice [j·m, (j+1)·m).
-// That is exactly the access pattern of the GAP subproblems, so STEP 4 hands
-// the η vector to gap.Solve with no copy and no float64 round-trip.
-//
-// Representation contract: the CSR and dense paths enumerate the same
-// coupling multiset in the same ascending-partner order and accumulate in
-// exact int64 arithmetic, so they are bit-identical — sparsemat.Rep (and the
-// Workers count) can never change a result, only its cost.
+// per-delay-class effective-row cache (flatmat.Kernel), the CSR coupling
+// matrix (sparsemat), the flat item-major η/h vectors, and the incremental
+// η maintenance. All flat vectors use the qmatrix.Pack layout — entry
+// (partition i, component j) lives at Pack(i, j, m) = i + j·m, so the
+// per-component column is the contiguous subslice [j·m, (j+1)·m). That is
+// exactly the access pattern of the GAP subproblems, so STEP 4 hands the η
+// vector to gap.Solve with no copy and no float64 round-trip.
 
 // initKernel builds the flat solve state from the solver's topology: the CSR
-// coupling matrix (and, when the representation resolves dense, its N×N
-// mirror), the per-(delay-class, partition) effective rows, and the flat
-// linear-cost mirror. Must run after s.penalty, s.relax and s.repReq are
-// final.
+// coupling matrix, the per-(delay-class, partition) effective rows, and the
+// flat linear-cost mirror. Must run after s.penalty and s.relax are final.
 func (s *solver) initKernel() {
 	bm := flatmat.FromRows(s.b)
 	dm := flatmat.FromRows(s.d)
@@ -38,12 +31,6 @@ func (s *solver) initKernel() {
 		bounds, classes := s.adj.DelayClasses()
 		s.csr = sparsemat.FromLists(s.adj, classes)
 		s.kern = flatmat.NewKernel(bm, dm, bounds, s.penalty)
-	}
-	s.rep = s.csr.Resolve(s.repReq, s.repThreshold)
-	if s.rep == sparsemat.RepDense {
-		s.dns = s.csr.ToDense()
-	} else {
-		s.dns = nil
 	}
 	if s.p.Linear != nil {
 		s.linFlat = make([]int64, s.m*s.n)
@@ -75,22 +62,13 @@ type scratch struct {
 	// Bit-packed marker sets of the incremental-η path: moved is built by
 	// refreshEta's diff (and consumed by etaIncremental's word-skip walks),
 	// colDirty collects the distinct dirty columns branch-free, dirtyCols
-	// is the extracted ascending index list handed to the shards.
+	// is the extracted ascending index list the update walks.
 	moved     *bitset.Set
 	colDirty  *bitset.Set
 	dirtyCols []int
 
 	// seen dedups the violated-endpoint collection of kick.
 	seen *bitset.Set
-
-	// polish/strongPolish candidate-scan buffers (parallel path only;
-	// allocated lazily). cand and dirty are bit-packed so the serial apply
-	// walks skip clean components 64 at a time.
-	deltas []int64
-	timOK  []bool
-	cand   *bitset.Set
-	dirty  *bitset.Set
-	u0     []int
 }
 
 func newScratch(m, n int) *scratch {
@@ -108,18 +86,6 @@ func newScratch(m, n int) *scratch {
 		colDirty:  bitset.New(n),
 		dirtyCols: make([]int, 0, n),
 		seen:      bitset.New(n),
-	}
-}
-
-// ensurePolishBufs sizes the snapshot buffers of the sharded candidate
-// scans on first use.
-func (sc *scratch) ensurePolishBufs() {
-	if sc.deltas == nil {
-		sc.deltas = make([]int64, sc.n*sc.m)
-		sc.timOK = make([]bool, sc.n*sc.m)
-		sc.cand = bitset.New(sc.n)
-		sc.dirty = bitset.New(sc.n)
-		sc.u0 = make([]int, sc.n)
 	}
 }
 
@@ -171,36 +137,15 @@ func (s *solver) refreshEta(u []int, withOmega bool) []int64 {
 
 // etaFull computes η from scratch: for every component column, the sum of
 // the partners' effective rows, plus the flat linear diagonal and
-// (optionally) the ω term at the current slot. Columns are independent, so
-// the loop shards over components — by balanced arc mass (s.shards), not by
-// equal component counts, so skewed-degree instances keep every worker
-// busy. The serial path calls the range body directly — building the shard
-// closure would cost an allocation per call.
+// (optionally) the ω term at the current slot.
 func (s *solver) etaFull(etaI []int64, u []int, withOmega bool) {
-	if s.pool == nil || s.shards == nil {
-		s.etaFullRange(etaI, u, withOmega, 0, s.n)
-		return
-	}
-	s.pool.forShards(s.shards, func(lo, hi int) {
-		s.etaFullRange(etaI, u, withOmega, lo, hi)
-	})
-}
-
-// etaFullRange rebuilds the η columns [lo, hi): zero, accumulate the
-// partners' effective rows (CSR or dense walk), then the linear and ω tails.
-func (s *solver) etaFullRange(etaI []int64, u []int, withOmega bool, lo, hi int) {
 	m := s.m
-	dense := s.dns != nil
-	for j2 := lo; j2 < hi; j2++ {
+	for j2 := 0; j2 < s.n; j2++ {
 		col := etaCol(etaI, j2, m)
 		for r := range col {
 			col[r] = 0
 		}
-		if dense {
-			s.accumColDense(col, u, j2)
-		} else {
-			s.accumColCSR(col, u, j2)
-		}
+		s.accumColCSR(col, u, j2)
 		if s.linFlat != nil {
 			lcol := etaCol(s.linFlat, j2, m)
 			lcol = lcol[:len(col)]
@@ -245,45 +190,14 @@ func (s *solver) accumColCSR(col []int64, u []int, j2 int) {
 	}
 }
 
-// accumColDense is the dense-mirror walk of accumColCSR: every partner slot
-// of row j2 is visited and non-entries are skipped by the NoArc class tag,
-// O(N + deg(j2)·M) per column. Partners come in the same ascending order as
-// the CSR row, so the two accumulations are term-for-term identical.
-func (s *solver) accumColDense(col []int64, u []int, j2 int) {
-	wrow, crow := s.dns.Row(j2)
-	for j1, c := range crow {
-		if c == sparsemat.NoArc {
-			continue
-		}
-		w := wrow[j1]
-		if c == sparsemat.UnconstrainedClass {
-			if w == 0 {
-				continue
-			}
-			row := s.kern.BRow(u[j1])
-			row = row[:len(col)]
-			for r := range col {
-				col[r] += w * row[r]
-			}
-		} else {
-			mask, pen := s.kern.ClassRows(int(c), u[j1])
-			mask = mask[:len(col)]
-			pen = pen[:len(col)]
-			for r := range col {
-				col[r] += w*mask[r] + pen[r]
-			}
-		}
-	}
-}
-
 // etaIncremental updates sc.etaI from oldU to newU: only the columns with at
 // least one moved partner are touched, each by subtracting the partner's
 // old effective row and adding the new one. The moved set must already be
 // packed in sc.moved (refreshEta's diff does it); the dirty-column set is
 // discovered from the CSR rows of the moved components — O(Σdeg(moved))
-// branch-free bit ORs — and extracted in ascending column order. Dirty
-// columns are disjoint, so the update shards over them (and their order
-// cannot affect the result).
+// branch-free bit ORs — and extracted in ascending column order. Old and
+// new contributions cancel exactly in int64, so the fused (new − old) pass
+// per moved partner is bit-identical to a subtract-then-add pair.
 func (s *solver) etaIncremental(oldU, newU []int, withOmega bool) {
 	m := s.m
 	sc := s.sc
@@ -299,12 +213,8 @@ func (s *solver) etaIncremental(oldU, newU []int, withOmega bool) {
 	}
 	cols := dirty.AppendIndices(sc.dirtyCols[:0])
 	sc.dirtyCols = cols
-	if s.pool == nil {
-		s.etaIncrementalRange(etaI, oldU, newU, cols, 0, len(cols))
-	} else {
-		s.pool.forRange(len(cols), func(lo, hi int) {
-			s.etaIncrementalRange(etaI, oldU, newU, cols, lo, hi)
-		})
+	for _, o := range cols {
+		s.updateColCSR(etaCol(etaI, o, m), oldU, newU, o)
 	}
 	if withOmega {
 		for j := moved.NextSet(0); j < s.n; j = moved.NextSet(j + 1) {
@@ -314,24 +224,6 @@ func (s *solver) etaIncremental(oldU, newU []int, withOmega bool) {
 		}
 	}
 	dirty.Reset()
-}
-
-// etaIncrementalRange re-derives the η columns cols[lo:hi]: per moved
-// partner, one fused pass replacing its old effective row with the new one.
-// old and new contributions cancel exactly in int64, so the fused
-// (new − old) form is bit-identical to a subtract-then-add pair.
-func (s *solver) etaIncrementalRange(etaI []int64, oldU, newU, cols []int, lo, hi int) {
-	m := s.m
-	dense := s.dns != nil
-	for x := lo; x < hi; x++ {
-		o := cols[x]
-		col := etaCol(etaI, o, m)
-		if dense {
-			s.updateColDense(col, oldU, newU, o)
-		} else {
-			s.updateColCSR(col, oldU, newU, o)
-		}
-	}
 }
 
 // updateColCSR swaps the moved partners' effective rows in col, walking only
@@ -347,19 +239,6 @@ func (s *solver) updateColCSR(col []int64, oldU, newU []int, o int) {
 			continue
 		}
 		s.swapPartnerRow(col, int(cs.Class[k]), cs.Weight[k], oldU[j], newU[j])
-	}
-}
-
-// updateColDense is the dense-mirror walk of updateColCSR: the whole partner
-// row is scanned and unmoved or uncoupled slots are skipped.
-func (s *solver) updateColDense(col []int64, oldU, newU []int, o int) {
-	moved := s.sc.moved
-	wrow, crow := s.dns.Row(o)
-	for j, c := range crow {
-		if c == sparsemat.NoArc || !moved.Test(j) {
-			continue
-		}
-		s.swapPartnerRow(col, int(c), wrow[j], oldU[j], newU[j])
 	}
 }
 
@@ -391,22 +270,11 @@ func (s *solver) swapPartnerRow(col []int64, c int, w int64, from, to int) {
 }
 
 // accumulateH folds the current η into the direction vector h (STEP 5):
-// h[r] += float64(η[r]) / denom, sharded over flat index ranges. The
-// division stays per-entry: multiplying by a precomputed reciprocal would
-// change last-ulp rounding and break bit-compatibility with the float64
-// reference implementation.
-func (s *solver) accumulateH(h []float64, etaI []int64, denom float64) {
-	if s.pool == nil {
-		accumulateHRange(h, etaI, denom, 0, len(h))
-		return
-	}
-	s.pool.forRange(len(h), func(lo, hi int) {
-		accumulateHRange(h, etaI, denom, lo, hi)
-	})
-}
-
-func accumulateHRange(h []float64, etaI []int64, denom float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
+// h[r] += float64(η[r]) / denom. The division stays per-entry: multiplying
+// by a precomputed reciprocal would change last-ulp rounding and break
+// bit-compatibility with the float64 reference implementation.
+func accumulateH(h []float64, etaI []int64, denom float64) {
+	for r := range h {
 		h[r] += float64(etaI[r]) / denom
 	}
 }

@@ -53,7 +53,9 @@ func derivedSeed(base int64, k int) int64 {
 // every worker to drain (no goroutine leaks), and reduces whatever starts
 // completed — the result then carries Stopped=true and the best incumbent
 // seen. Only when cancellation preempted every single start does the call
-// return ctx.Err().
+// return ctx.Err(). Finished starts are reduced as they complete, so memory
+// does not grow with Starts: a count too large to finish runs until ctx
+// stops it and returns the best-so-far.
 func SolveMultiStart(ctx context.Context, p *model.Problem, opts MultiStartOptions) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -70,19 +72,20 @@ func SolveMultiStart(ctx context.Context, p *model.Problem, opts MultiStartOptio
 		workers = starts
 	}
 
-	results := make([]*Result, starts)
-	errs := make([]error, starts)
 	// Exactly `workers` goroutines drain the start indices — not one
 	// goroutine per start parked on a semaphore, which stacked `starts`
 	// goroutines (and their solver state) up front. Each worker owns one
 	// scratch buffer set, reused across every start it runs: all starts
 	// solve the same problem shape, so the per-solve allocations of the
-	// pipeline are paid once per worker instead of once per start.
+	// pipeline are paid once per worker instead of once per start. Each
+	// worker also folds its finished starts into its own partial, so the
+	// memory held is O(workers) whatever the start count.
+	parts := make([]multiStartPartial, workers)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range parts {
 		wg.Add(1)
-		go func() {
+		go func(part *multiStartPartial) {
 			defer wg.Done()
 			sc := newScratch(p.M(), p.N())
 			// The drain is cancellation-bounded one level up: the feed
@@ -97,9 +100,10 @@ func SolveMultiStart(ctx context.Context, p *model.Problem, opts MultiStartOptio
 				}
 				o.sc = sc
 				o.progressStart = k
-				results[k], errs[k] = Solve(ctx, p, o)
+				r, err := Solve(ctx, p, o)
+				part.add(k, r, err)
 			}
-		}()
+		}(&parts[w])
 	}
 	// Feed until done or cancelled; on cancellation the remaining starts
 	// are simply never dispatched, the in-flight ones stop at their next
@@ -115,55 +119,82 @@ feed:
 	close(jobs)
 	wg.Wait()
 
-	var best *Result
-	bestK := -1
-	var stats SolveStats
-	stopped := false
-	var firstErr error
-	for k := 0; k < starts; k++ {
-		if errs[k] != nil {
-			// ctx errors from preempted starts are not solve failures —
-			// their absence from the reduction is what cancellation means.
-			if !errors.Is(errs[k], context.Canceled) && !errors.Is(errs[k], context.DeadlineExceeded) && firstErr == nil {
-				firstErr = errs[k]
-			}
-			continue
-		}
-		r := results[k]
-		if r == nil {
-			continue // never dispatched
-		}
-		stats.add(r.Stats)
-		if r.Stopped {
-			stopped = true
-		}
-		if best == nil {
-			best, bestK = r, k
-			continue
-		}
-		switch {
-		case r.Feasible && !best.Feasible:
-			best, bestK = r, k
-		case r.Feasible == best.Feasible && r.Feasible && r.Objective < best.Objective:
-			best, bestK = r, k
-		case r.Feasible == best.Feasible && !r.Feasible && r.Penalized < best.Penalized:
-			best, bestK = r, k
-		}
+	var total multiStartPartial
+	for _, part := range parts {
+		total.merge(part)
 	}
-	if best == nil {
-		if firstErr != nil {
-			return nil, firstErr
+	if total.best == nil {
+		if total.err != nil {
+			return nil, total.err
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err // cancelled before any start completed
 		}
 		return nil, errors.New("qbp: no start produced a result")
 	}
-	// The winner's Result is shared with results[bestK]; copy before
-	// folding the aggregate telemetry in so per-start data stays intact.
-	agg := *best
-	stats.Trajectory = results[bestK].Stats.Trajectory
-	agg.Stats = stats
-	agg.Stopped = stopped || ctx.Err() != nil
+	// Copy the winner before folding the aggregate telemetry in, so the
+	// per-start Result stays intact.
+	agg := *total.best
+	total.stats.Trajectory = total.best.Stats.Trajectory
+	agg.Stats = total.stats
+	agg.Stopped = total.stopped || ctx.Err() != nil
 	return &agg, nil
+}
+
+// multiStartPartial is the reduction state of a set of finished starts:
+// the best result with its start index, the summed telemetry, whether any
+// start stopped early, and the lowest-index solve error. Every field folds
+// with an order-independent operation, so partials built by different
+// workers merge to the same total however the starts were scheduled.
+type multiStartPartial struct {
+	best    *Result
+	bestK   int
+	stats   SolveStats
+	stopped bool
+	err     error
+	errK    int // start index of err; meaningful only when err != nil
+}
+
+// add folds start k's outcome in. ctx errors from preempted starts are not
+// solve failures — their absence from the reduction is what cancellation
+// means.
+func (a *multiStartPartial) add(k int, r *Result, err error) {
+	switch {
+	case err == nil:
+		a.merge(multiStartPartial{best: r, bestK: k, stats: r.Stats, stopped: r.Stopped})
+	case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+		a.merge(multiStartPartial{err: err, errK: k})
+	}
+}
+
+// merge folds another partial into a.
+func (a *multiStartPartial) merge(b multiStartPartial) {
+	if b.err != nil && (a.err == nil || b.errK < a.errK) {
+		a.err, a.errK = b.err, b.errK
+	}
+	if b.best == nil {
+		return
+	}
+	a.stats.add(b.stats)
+	a.stopped = a.stopped || b.stopped
+	if a.best == nil || betterStart(b.best, b.bestK, a.best, a.bestK) {
+		a.best, a.bestK = b.best, b.bestK
+	}
+}
+
+// betterStart is the total order of the multistart reduction: feasible
+// before infeasible, then the lower objective (feasible) or penalized value
+// (infeasible), then the lower start index.
+func betterStart(r *Result, k int, best *Result, bestK int) bool {
+	if r.Feasible != best.Feasible {
+		return r.Feasible
+	}
+	rv, bv := r.Penalized, best.Penalized
+	if r.Feasible {
+		rv, bv = r.Objective, best.Objective
+	}
+	if rv != bv {
+		return rv < bv
+	}
+	return k < bestK
 }

@@ -5,13 +5,11 @@ package qbp
 // `make bench` folds these into BENCH_PR2.json.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/sparsemat"
 	"repro/internal/testgen"
 )
 
@@ -56,9 +54,15 @@ func referenceComputeEta(s *solver, u []int, eta [][]float64) {
 }
 
 func benchSolver(b *testing.B, n int) (*solver, []int) {
+	return benchSolverShape(b, testgen.Config{N: n, TimingProb: 0.4})
+}
+
+// benchSolverShape is benchSolver with an explicit instance shape, for the
+// density sweeps.
+func benchSolverShape(b *testing.B, cfg testgen.Config) (*solver, []int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
-	p, _ := testgen.Random(rng, testgen.Config{N: n, TimingProb: 0.4})
+	p, _ := testgen.Random(rng, cfg)
 	s := newTestSolver(p, DefaultPenalty, false)
 	u := make([]int, s.n)
 	for j := range u {
@@ -67,24 +71,9 @@ func benchSolver(b *testing.B, n int) (*solver, []int) {
 	return s, u
 }
 
-// benchSolverRep is benchSolver with an explicit instance shape and a forced
-// coupling representation, for the sparse-vs-dense sweeps.
-func benchSolverRep(b *testing.B, cfg testgen.Config, rep sparsemat.Rep) (*solver, []int) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(42))
-	p, _ := testgen.Random(rng, cfg)
-	s := newTestSolverRep(p, DefaultPenalty, false, rep)
-	u := make([]int, s.n)
-	for j := range u {
-		u[j] = rng.Intn(s.m)
-	}
-	return s, u
-}
-
-// repSweep spans the density spectrum the representation choice is about:
-// bounded-fan-out netlists (the paper's instances) and a dense Bernoulli
-// control where the CSR walk should roughly tie the dense row scan.
-var repSweep = []struct {
+// densitySweep spans bounded-fan-out netlists (the paper's instances) and
+// a dense Bernoulli control.
+var densitySweep = []struct {
 	name string
 	cfg  testgen.Config
 }{
@@ -127,18 +116,17 @@ func BenchmarkComputeEta(b *testing.B) {
 			}
 		})
 	}
-	// Full-η recompute, CSR vs forced-dense, across the density sweep:
-	// O(nnz·M) against O(N²·M).
-	for _, dc := range repSweep {
-		for _, rep := range []sparsemat.Rep{sparsemat.RepSparse, sparsemat.RepDense} {
-			s, u := benchSolverRep(b, dc.cfg, rep)
-			b.Run(fmt.Sprintf("%s/%s/n=%d", dc.name, rep, s.n), func(b *testing.B) {
-				b.ReportAllocs()
-				for k := 0; k < b.N; k++ {
-					s.etaFull(s.sc.etaI, u, false)
-				}
-			})
-		}
+	// Full-η recompute across the density sweep: O(nnz·M). The "sparse"
+	// name segment keeps these rows comparable with the committed
+	// BENCH_*.json ledger.
+	for _, dc := range densitySweep {
+		s, u := benchSolverShape(b, dc.cfg)
+		b.Run(fmt.Sprintf("%s/sparse/n=%d", dc.name, s.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for k := 0; k < b.N; k++ {
+				s.etaFull(s.sc.etaI, u, false)
+			}
+		})
 	}
 }
 
@@ -164,27 +152,6 @@ func BenchmarkPenalizedValue(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveWorkers measures the end-to-end solve at different shard
-// widths (identical outputs; wall-clock scales with available cores).
-func BenchmarkSolveWorkers(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	p, _ := testgen.Random(rng, testgen.Config{N: 150, TimingProb: 0.3, CapSlack: 1.4})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for k := 0; k < b.N; k++ {
-				res, err := Solve(context.Background(), p, Options{Iterations: 20, Seed: 1, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if k == 0 {
-					b.ReportMetric(float64(res.WireLength), "finalWL")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEtaIncrementalSweep shows how the incremental path scales with
 // the fraction of the iterate that moved between refreshes.
 func BenchmarkEtaIncrementalSweep(b *testing.B) {
@@ -204,10 +171,8 @@ func BenchmarkEtaIncrementalSweep(b *testing.B) {
 			}
 		})
 	}
-	// The acceptance sweep: a bounded-fan-out instance at N=2000 where the
-	// incremental update is O(Σdeg(moved)·M) under CSR but pays an O(N) row
-	// scan per dirty column under the forced-dense mirror. Steady state must
-	// stay allocation-free on both paths.
+	// A bounded-fan-out instance at N=2000, where the incremental update is
+	// O(Σdeg(moved)·M). Steady state must stay allocation-free.
 	for _, dc := range []struct {
 		name string
 		cfg  testgen.Config
@@ -215,21 +180,19 @@ func BenchmarkEtaIncrementalSweep(b *testing.B) {
 		{"deg12", testgen.Config{N: 2000, AvgDegree: 12, TimingProb: 0.3}},
 		{"deg4", testgen.Config{N: 2000, AvgDegree: 4, TimingProb: 0.3}},
 	} {
-		for _, rep := range []sparsemat.Rep{sparsemat.RepSparse, sparsemat.RepDense} {
-			s, u := benchSolverRep(b, dc.cfg, rep)
-			b.Run(fmt.Sprintf("%s/%s/n=%d/moves=4", dc.name, rep, s.n), func(b *testing.B) {
-				b.ReportAllocs()
-				s.sc.etaValid = false
-				s.refreshEta(u, false)
-				rng := rand.New(rand.NewSource(7))
-				b.ResetTimer()
-				for k := 0; k < b.N; k++ {
-					for x := 0; x < 4; x++ {
-						u[rng.Intn(s.n)] = rng.Intn(s.m)
-					}
-					s.refreshEta(u, false)
+		s, u := benchSolverShape(b, dc.cfg)
+		b.Run(fmt.Sprintf("%s/sparse/n=%d/moves=4", dc.name, s.n), func(b *testing.B) {
+			b.ReportAllocs()
+			s.sc.etaValid = false
+			s.refreshEta(u, false)
+			rng := rand.New(rand.NewSource(7))
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				for x := 0; x < 4; x++ {
+					u[rng.Intn(s.n)] = rng.Intn(s.m)
 				}
-			})
-		}
+				s.refreshEta(u, false)
+			}
+		})
 	}
 }

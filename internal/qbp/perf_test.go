@@ -1,10 +1,9 @@
 package qbp
 
 // Exactness tests for the flat performance kernels: the incremental η
-// maintenance, the flat penalizedValue, and the Workers-sharded pipeline
-// must agree bit for bit with their straightforward reference
-// implementations — the PR 2 rework is a pure cost saving, never a
-// behavioral change.
+// maintenance and the flat penalizedValue must agree bit for bit with their
+// straightforward reference implementations — the flat kernels are a pure
+// cost saving, never a behavioral change.
 
 import (
 	"context"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/adjacency"
 	"repro/internal/model"
 	"repro/internal/qmatrix"
-	"repro/internal/sparsemat"
 	"repro/internal/testgen"
 )
 
@@ -112,73 +110,88 @@ func refPenalizedValue(s *solver, u []int) int64 {
 	return v
 }
 
+// TestPenalizedValueMatchesReference checks the value and delta kernels on
+// every repTestInstance shape (sparse-sampled, dense Bernoulli with a linear
+// term, tiny): penalizedValue against the per-arc reference, and single and
+// joint move deltas against the value differences they predict — joint
+// moves of coupled pairs included, whose shared arc must count once.
 func TestPenalizedValueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
-		p, _ := testgen.Random(rng, testgen.Config{
-			N: 10 + rng.Intn(30), TimingProb: 0.5, WithLinear: trial%2 == 0,
-		})
+		p := repTestInstance(rng, trial)
 		s := newTestSolver(p, DefaultPenalty, trial%5 == 4)
 		u := make([]int, s.n)
 		for probe := 0; probe < 10; probe++ {
 			for j := range u {
 				u[j] = rng.Intn(s.m)
 			}
-			if got, want := s.penalizedValue(u), refPenalizedValue(s, u); got != want {
-				t.Fatalf("trial %d: penalizedValue = %d, want %d", trial, got, want)
+			before := s.penalizedValue(u)
+			if want := refPenalizedValue(s, u); before != want {
+				t.Fatalf("trial %d: penalizedValue = %d, want %d", trial, before, want)
 			}
 			// Move deltas must match value differences exactly.
 			j, to := rng.Intn(s.n), rng.Intn(s.m)
-			before := s.penalizedValue(u)
 			d := s.moveDeltaPenalized(u, j, to)
 			old := u[j]
 			u[j] = to
-			if after := s.penalizedValue(u); after-before != d {
+			after := s.penalizedValue(u)
+			if after-before != d {
 				t.Fatalf("trial %d: moveDelta(%d→%d) = %d, value change %d", trial, old, to, d, after-before)
+			}
+			// So must joint deltas; every other probe pairs j1 with one of
+			// its coupled partners.
+			j1, j2 := rng.Intn(s.n), rng.Intn(s.n)
+			if lo, hi := s.csr.Row(j1); probe%2 == 0 && hi > lo {
+				j2 = int(s.csr.Col[lo+rng.Intn(hi-lo)])
+			}
+			if j1 == j2 {
+				continue
+			}
+			i1, i2 := rng.Intn(s.m), rng.Intn(s.m)
+			d = s.jointDeltaPenalized(u, j1, i1, j2, i2)
+			u[j1], u[j2] = i1, i2
+			if joint := s.penalizedValue(u); joint-after != d {
+				t.Fatalf("trial %d: jointDelta(%d→%d, %d→%d) = %d, value change %d",
+					trial, j1, i1, j2, i2, d, joint-after)
 			}
 		}
 	}
 }
 
-// TestWorkersIndependence is the determinism contract of qbp.Options.Workers:
-// a fixed seed yields the identical assignment no matter how the pipeline is
-// sharded — for both coupling representations (the sparse kernels use
-// balanced-arc-mass shard boundaries, the dense ones the same; both write
-// disjoint columns). Run under -race this also exercises the pool for data
-// races.
+// TestWorkersIndependence is the determinism contract of
+// MultiStartOptions.Workers: a fixed seed yields the identical assignment
+// however many goroutines share the starts, on Bernoulli and sparse-sampled
+// instances alike. Run under -race this also exercises the concurrent
+// reduction for data races.
 func TestWorkersIndependence(t *testing.T) {
 	assertNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 4; trial++ {
 		cfg := testgen.Config{N: 30 + rng.Intn(30), TimingProb: 0.3, CapSlack: 1.4}
 		if trial%2 == 1 {
-			// Sparse-sampled instances exercise the CSR kernels and the
-			// skewed-degree shard balancing.
 			cfg.AvgDegree = 3 + 5*rng.Float64()
 		}
 		p, _ := testgen.Random(rng, cfg)
-		for _, rep := range []sparsemat.Rep{sparsemat.RepSparse, sparsemat.RepDense} {
-			base := Options{Iterations: 25, Seed: int64(trial), Matrix: rep}
-			ref, err := Solve(context.Background(), p, base)
+		base := MultiStartOptions{Base: Options{Iterations: 25, Seed: int64(trial)}, Starts: 5, Workers: 1}
+		ref, err := SolveMultiStart(context.Background(), p, base)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, workers := range []int{2, 3, 7} {
+			o := base
+			o.Workers = workers
+			got, err := SolveMultiStart(context.Background(), p, o)
 			if err != nil {
-				t.Fatalf("trial %d rep=%v: %v", trial, rep, err)
+				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
-			for _, workers := range []int{2, 3, 7} {
-				o := base
-				o.Workers = workers
-				got, err := Solve(context.Background(), p, o)
-				if err != nil {
-					t.Fatalf("trial %d rep=%v workers=%d: %v", trial, rep, workers, err)
-				}
-				if got.Objective != ref.Objective || got.Penalized != ref.Penalized {
-					t.Fatalf("trial %d rep=%v workers=%d: objective %d/%d, want %d/%d",
-						trial, rep, workers, got.Objective, got.Penalized, ref.Objective, ref.Penalized)
-				}
-				for j := range ref.Assignment {
-					if got.Assignment[j] != ref.Assignment[j] {
-						t.Fatalf("trial %d rep=%v workers=%d: assignment diverged at component %d",
-							trial, rep, workers, j)
-					}
+			if got.Objective != ref.Objective || got.Penalized != ref.Penalized || got.Stats.Starts != ref.Stats.Starts {
+				t.Fatalf("trial %d workers=%d: objective %d/%d over %d starts, want %d/%d over %d",
+					trial, workers, got.Objective, got.Penalized, got.Stats.Starts,
+					ref.Objective, ref.Penalized, ref.Stats.Starts)
+			}
+			for j := range ref.Assignment {
+				if got.Assignment[j] != ref.Assignment[j] {
+					t.Fatalf("trial %d workers=%d: assignment diverged at component %d", trial, workers, j)
 				}
 			}
 		}

@@ -26,13 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	mbits "math/bits"
 	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/adjacency"
-	"repro/internal/bitset"
 	"repro/internal/flatmat"
 	"repro/internal/gains"
 	"repro/internal/gap"
@@ -114,22 +112,6 @@ type Options struct {
 	// SolveMultiStart the same callback is invoked concurrently from every
 	// worker, so it must be safe for concurrent use.
 	OnProgress func(pr Progress)
-	// Workers shards the solve pipeline's data-parallel loops (the η and h
-	// accumulations and the polish candidate scans) across this many
-	// goroutines. Every sharded loop either writes disjoint ranges or is
-	// revalidated serially, so the result is bit-identical for every
-	// Workers value — including the default serial path (≤ 1).
-	Workers int
-	// Matrix selects the coupling-matrix representation behind the solve
-	// kernels: sparsemat.RepAuto (the zero value) picks CSR or dense by
-	// measured density, RepSparse / RepDense force one. Both
-	// representations enumerate the same couplings in the same order with
-	// exact integer arithmetic, so the choice never changes the resulting
-	// assignment — only the solve cost.
-	Matrix sparsemat.Rep
-	// MatrixDensityThreshold overrides the RepAuto crossover density;
-	// ≤ 0 means sparsemat.DefaultDensityThreshold.
-	MatrixDensityThreshold float64
 
 	// Scratch, when non-nil, lends a reusable buffer holder to this solve:
 	// the per-solve allocations of the pipeline are paid once and reused by
@@ -203,12 +185,10 @@ type SolveStats struct {
 	// EtaFull and EtaIncremental count the STEP 3 η rebuild strategies
 	// chosen (full recompute vs dirty-column refresh).
 	EtaFull, EtaIncremental int
-	// Matrix is the resolved coupling representation ("sparse" or
-	// "dense"), Density the measured off-diagonal fill fraction
-	// NNZ/(N·(N−1)), and NNZ the stored arc count. All starts of a
-	// SolveMultiStart share one matrix, so the first completed start's
-	// values are kept by the reduction.
-	Matrix  string
+	// Density is the coupling matrix's off-diagonal fill fraction
+	// NNZ/(N·(N−1)), and NNZ its stored arc count. All starts of a
+	// SolveMultiStart share one matrix, so every start reports the same
+	// values.
 	Density float64
 	NNZ     int
 	// Trajectory is the penalized-incumbent improvement history.
@@ -227,9 +207,7 @@ func (s *SolveStats) add(o SolveStats) {
 	s.Restarts += o.Restarts
 	s.EtaFull += o.EtaFull
 	s.EtaIncremental += o.EtaIncremental
-	if s.Matrix == "" {
-		s.Matrix, s.Density, s.NNZ = o.Matrix, o.Density, o.NNZ
-	}
+	s.Density, s.NNZ = o.Density, o.NNZ
 	s.SetupTime += o.SetupTime
 	s.IterTime += o.IterTime
 	s.PolishTime += o.PolishTime
@@ -280,18 +258,10 @@ type solver struct {
 
 	// Flat kernel state (initKernel).
 	kern    *flatmat.Kernel
-	csr     *sparsemat.CSR   // canonical coupling matrix, always built
-	dns     *sparsemat.Dense // dense mirror, non-nil only when rep is dense
-	rep     sparsemat.Rep    // resolved representation (sparse or dense)
-	shards  []int            // balanced-arc-mass η shard bounds, nil when serial
-	linFlat []int64          // item-major flat linear costs, nil when Linear is nil
+	csr     *sparsemat.CSR // coupling matrix
+	linFlat []int64        // item-major flat linear costs, nil when Linear is nil
 
-	// Requested representation (from Options), consumed by initKernel.
-	repReq       sparsemat.Rep
-	repThreshold float64
-
-	sc   *scratch
-	pool *pool // nil means serial
+	sc *scratch
 
 	// ck is the cooperative-cancellation checker threaded through every
 	// phase; the zero value (helper constructors) never stops.
@@ -342,23 +312,16 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	switch opts.Matrix {
-	case sparsemat.RepAuto, sparsemat.RepSparse, sparsemat.RepDense:
-	default:
-		return nil, fmt.Errorf("qbp: unknown matrix representation %d (want RepAuto, RepSparse or RepDense)", opts.Matrix)
-	}
 	t0 := now()
 	norm := p.Normalized()
 	s := &solver{
-		p:            norm,
-		adj:          adjacency.Build(norm.Circuit),
-		m:            norm.M(),
-		n:            norm.N(),
-		b:            norm.Topology.Cost,
-		d:            norm.Topology.Delay,
-		relax:        opts.RelaxTiming,
-		repReq:       opts.Matrix,
-		repThreshold: opts.MatrixDensityThreshold,
+		p:     norm,
+		adj:   adjacency.Build(norm.Circuit),
+		m:     norm.M(),
+		n:     norm.N(),
+		b:     norm.Topology.Cost,
+		d:     norm.Topology.Delay,
+		relax: opts.RelaxTiming,
 	}
 	s.penalty = opts.Penalty
 	if s.penalty <= 0 {
@@ -393,25 +356,15 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 	// STEP 2: ω bounds (computed sparsely).
 	s.omega = qmatrix.Omega(s.p, s.adj, s.effectivePenalty())
 
-	// Flat kernels, reusable scratch, and the (optional) worker pool. The
-	// η shard boundaries are cut by arc mass, not row count, so
-	// skewed-degree instances keep every worker busy; they depend only on
-	// the matrix and the worker count, never on the iterate, preserving
-	// determinism.
+	// Flat kernels and reusable scratch.
 	s.initKernel()
 	lent := opts.sc
 	if lent == nil && opts.Scratch != nil {
 		lent = opts.Scratch.lease(s.m, s.n)
 	}
 	s.ensureScratch(lent)
-	s.pool = newPool(opts.Workers)
-	defer s.pool.close()
-	if s.pool != nil {
-		s.shards = s.csr.BalancedShards(opts.Workers)
-	}
 	s.ck = interrupt.New(ctx, 0)
 	s.stats.Starts = 1
-	s.stats.Matrix = s.rep.String()
 	s.stats.Density = s.csr.Density()
 	s.stats.NNZ = s.csr.NNZ()
 	s.stats.SetupTime = now().Sub(t0)
@@ -511,7 +464,7 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 		if denom < 1 {
 			denom = 1
 		}
-		s.accumulateH(h, etaI, denom)
+		accumulateH(h, etaI, denom)
 
 		// STEP 6: next iterate from the accumulated direction.
 		gapInst.FlatCosts, gapInst.FlatCosts64 = nil, h
@@ -755,29 +708,14 @@ func (s *solver) autoPenalty() int64 {
 // penalizedValue is yᵀQ̂y for the assignment u: linear term + for every
 // ordered coupled pair either the raised penalty (violating slot, entry
 // *set* to the penalty as in the paper's §3.3 matrix) or the wire coupling.
-// The per-arc entry comes from the precomputed effective rows, so the loop
-// carries no timing branches; the walk is the resolved representation's
-// (O(nnz) CSR stream or dense row scans), with identical accumulation
-// order either way.
+// The per-arc entry comes from the precomputed effective rows, so the
+// O(nnz) CSR stream carries no timing branches.
 func (s *solver) penalizedValue(u []int) int64 {
 	var v int64
 	if s.linFlat != nil {
 		for j, i := range u {
 			v += s.linFlat[qmatrix.Pack(i, j, s.m)]
 		}
-	}
-	if s.dns != nil {
-		for j1 := 0; j1 < s.n; j1++ {
-			i1 := u[j1]
-			wrow, crow := s.dns.Row(j1)
-			for j2, c := range crow {
-				if c == sparsemat.NoArc {
-					continue
-				}
-				v += s.kern.Entry(int(c), i1, u[j2], wrow[j2])
-			}
-		}
-		return v
 	}
 	cs := s.csr
 	for j1 := 0; j1 < s.n; j1++ {
@@ -879,25 +817,13 @@ func (s *solver) pairCost(iA, iB, c int, w int64) int64 {
 }
 
 // moveDeltaPenalized is the exact change of yᵀQ̂y when moving j to
-// partition to, with everything else fixed at u: O(deg(j)) on the CSR
-// path, one row scan on the dense path.
+// partition to, with everything else fixed at u: O(deg(j)).
 func (s *solver) moveDeltaPenalized(u []int, j, to int) int64 {
 	cur := u[j]
 	if cur == to {
 		return 0
 	}
 	delta := s.p.LinearAt(to, j) - s.p.LinearAt(cur, j)
-	if s.dns != nil {
-		wrow, crow := s.dns.Row(j)
-		for j2, c := range crow {
-			if c == sparsemat.NoArc {
-				continue
-			}
-			o := u[j2]
-			delta += s.pairCost(to, o, int(c), wrow[j2]) - s.pairCost(cur, o, int(c), wrow[j2])
-		}
-		return delta
-	}
 	cs := s.csr
 	lo, hi := cs.Row(j)
 	col := cs.Col[lo:hi]
@@ -913,9 +839,7 @@ func (s *solver) moveDeltaPenalized(u []int, j, to int) int64 {
 }
 
 // timingOKAt reports whether component j placed on partition to satisfies
-// all its timing bounds against the current positions in u. Always a CSR
-// walk — the bound scan touches only stored arcs regardless of which
-// representation drives the cost kernels.
+// all its timing bounds against the current positions in u.
 func (s *solver) timingOKAt(u []int, j, to int) bool {
 	cs := s.csr
 	lo, hi := cs.Row(j)
@@ -955,13 +879,7 @@ func (s *solver) polish(u []int, preserveFeasible bool) {
 		if s.ck.Now() {
 			return
 		}
-		var improved bool
-		if s.pool != nil {
-			improved = s.polishPassSharded(u, loads, preserveFeasible)
-		} else {
-			improved = s.polishPass(u, loads, preserveFeasible)
-		}
-		if !improved {
+		if !s.polishPass(u, loads, preserveFeasible) {
 			break
 		}
 	}
@@ -999,71 +917,6 @@ func (s *solver) polishPass(u []int, loads []int64, preserveFeasible bool) bool 
 	return improved
 }
 
-// polishPassSharded runs one polish pass with the candidate deltas (and
-// timing gates) precomputed in parallel from a snapshot of u, then applies
-// moves serially in component order. Deltas and timing gates depend only
-// on a component's own slot and its neighbors' slots, so a snapshot row
-// goes stale exactly when a neighbor moved earlier in the pass — those
-// rows are recomputed serially before use, and capacity gating always
-// reads the live loads. The applied move sequence is therefore identical
-// to polishPass for every Workers value.
-func (s *solver) polishPassSharded(u []int, loads []int64, preserveFeasible bool) bool {
-	sc := s.sc
-	sc.ensurePolishBufs()
-	m := s.m
-	u0 := sc.u0
-	copy(u0, u)
-	deltas, tim := sc.deltas, sc.timOK
-	s.pool.forRange(s.n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			row := deltas[j*m : (j+1)*m]
-			trow := tim[j*m : (j+1)*m]
-			for to := 0; to < m; to++ {
-				row[to] = s.moveDeltaPenalized(u0, j, to)
-				if preserveFeasible {
-					trow[to] = s.timingOKAt(u0, j, to)
-				}
-			}
-		}
-	})
-	dirty := sc.dirty
-	dirty.Reset()
-	improved := false
-	for j := 0; j < s.n; j++ {
-		row := deltas[j*m : (j+1)*m]
-		trow := tim[j*m : (j+1)*m]
-		if dirty.Test(j) {
-			for to := 0; to < m; to++ {
-				row[to] = s.moveDeltaPenalized(u, j, to)
-				if preserveFeasible {
-					trow[to] = s.timingOKAt(u, j, to)
-				}
-			}
-		}
-		cur := u[j]
-		bestTo, bestDelta := cur, int64(0)
-		for to := 0; to < m; to++ {
-			if to == cur || loads[to]+s.p.Circuit.Sizes[j] > s.p.Topology.Capacities[to] {
-				continue
-			}
-			if preserveFeasible && !trow[to] {
-				continue
-			}
-			if d := row[to]; d < bestDelta {
-				bestDelta, bestTo = d, to
-			}
-		}
-		if bestTo != cur {
-			loads[cur] -= s.p.Circuit.Sizes[j]
-			loads[bestTo] += s.p.Circuit.Sizes[j]
-			u[j] = bestTo
-			improved = true
-			s.markNeighborsDirty(dirty, j)
-		}
-	}
-	return improved
-}
-
 // strongPolish runs feasibility-preserving first-improvement sweeps of
 // single moves and pair swaps on a feasible assignment until convergence,
 // using the incremental move-delta table. This leaves the final solution
@@ -1091,31 +944,24 @@ func (s *solver) strongPolish(u []int) {
 			break // the gains table is consistent between sweeps
 		}
 		improved := false
-		if s.pool != nil {
-			improved = s.strongMoveSweepSharded(t, moveOK)
-			if s.strongSwapSweepSharded(t, swapOK) {
+		for j := 0; j < s.n; j++ {
+			cur := t.Partition(j)
+			for to := 0; to < s.m; to++ {
+				if to == cur || t.Delta(j, to) >= 0 || !moveOK(j, to) {
+					continue
+				}
+				t.Apply(j, to)
+				cur = to
 				improved = true
 			}
-		} else {
-			for j := 0; j < s.n; j++ {
-				cur := t.Partition(j)
-				for to := 0; to < s.m; to++ {
-					if to == cur || t.Delta(j, to) >= 0 || !moveOK(j, to) {
-						continue
-					}
-					t.Apply(j, to)
-					cur = to
-					improved = true
+		}
+		for j1 := 0; j1 < s.n; j1++ {
+			for j2 := j1 + 1; j2 < s.n; j2++ {
+				if t.Partition(j1) == t.Partition(j2) || t.SwapDelta(j1, j2) >= 0 || !swapOK(j1, j2) {
+					continue
 				}
-			}
-			for j1 := 0; j1 < s.n; j1++ {
-				for j2 := j1 + 1; j2 < s.n; j2++ {
-					if t.Partition(j1) == t.Partition(j2) || t.SwapDelta(j1, j2) >= 0 || !swapOK(j1, j2) {
-						continue
-					}
-					t.ApplySwap(j1, j2)
-					improved = true
-				}
+				t.ApplySwap(j1, j2)
+				improved = true
 			}
 		}
 		if !improved {
@@ -1123,141 +969,6 @@ func (s *solver) strongPolish(u []int) {
 		}
 	}
 	copy(u, t.Assignment())
-}
-
-// strongMoveSweepSharded is the single-move sweep of strongPolish with the
-// candidate scan sharded: workers mark, from a read-only snapshot of the
-// gains table and ignoring the (purely restrictive) capacity and timing
-// gates, which components have any improving move at all. Marks are packed
-// 64 per word and sharded over whole words, so no two workers ever write
-// the same word. The serial apply walk then only visits marked components
-// plus those whose neighborhood changed after an applied move — skipping
-// clean stretches one fused (cand|dirty) word at a time, with the word
-// re-read after every visit so marks set ahead of the cursor are seen,
-// exactly as the bool-slice walk saw them — and every visit re-reads the
-// live table, so the applied move sequence matches the serial sweep
-// exactly.
-func (s *solver) strongMoveSweepSharded(t *gains.Table, moveOK func(j, to int) bool) bool {
-	sc := s.sc
-	sc.ensurePolishBufs()
-	cand, dirty := sc.cand, sc.dirty
-	cw, dw := cand.Words(), dirty.Words()
-	s.pool.forRange(len(cw), func(wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			var bw uint64
-			base := w << 6
-			end := s.n - base
-			if end > 64 {
-				end = 64
-			}
-			for b := 0; b < end; b++ {
-				j := base + b
-				cur := t.Partition(j)
-				for to := 0; to < s.m; to++ {
-					if to != cur && t.Delta(j, to) < 0 {
-						bw |= 1 << uint(b)
-						break
-					}
-				}
-			}
-			cw[w] = bw
-		}
-	})
-	dirty.Reset()
-	improved := false
-	for j := 0; j < s.n; {
-		w := j >> 6
-		rem := (cw[w] | dw[w]) >> uint(j&63)
-		if rem == 0 {
-			j = (w + 1) << 6
-			continue
-		}
-		j += mbits.TrailingZeros64(rem)
-		cur := t.Partition(j)
-		for to := 0; to < s.m; to++ {
-			if to == cur || t.Delta(j, to) >= 0 || !moveOK(j, to) {
-				continue
-			}
-			t.Apply(j, to)
-			cur = to
-			improved = true
-			s.markNeighborsDirty(dirty, j)
-		}
-		j++
-	}
-	return improved
-}
-
-// strongSwapSweepSharded is the pair-swap sweep of strongPolish with the
-// same snapshot-prefilter scheme: a pair can only have turned profitable
-// since the snapshot if one of its endpoints moved or had a neighbor move,
-// so unmarked rows need only be checked against dirty partners.
-func (s *solver) strongSwapSweepSharded(t *gains.Table, swapOK func(j1, j2 int) bool) bool {
-	sc := s.sc
-	sc.ensurePolishBufs()
-	cand, dirty := sc.cand, sc.dirty
-	cw := cand.Words()
-	s.pool.forRange(len(cw), func(wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			var bw uint64
-			base := w << 6
-			end := s.n - base
-			if end > 64 {
-				end = 64
-			}
-			for b := 0; b < end; b++ {
-				j1 := base + b
-				for j2 := j1 + 1; j2 < s.n; j2++ {
-					if t.Partition(j1) != t.Partition(j2) && t.SwapDelta(j1, j2) < 0 {
-						bw |= 1 << uint(b)
-						break
-					}
-				}
-			}
-			cw[w] = bw
-		}
-	})
-	dirty.Reset()
-	improved := false
-	apply := func(j1, j2 int) {
-		t.ApplySwap(j1, j2)
-		improved = true
-		dirty.Set(j1)
-		dirty.Set(j2)
-		s.markNeighborsDirty(dirty, j1)
-		s.markNeighborsDirty(dirty, j2)
-	}
-	for j1 := 0; j1 < s.n; j1++ {
-		for j2 := j1 + 1; j2 < s.n; {
-			// cand/dirty[j1] are re-read per pair: an applied swap in this
-			// very row marks j1 dirty, and the rest of the row must then be
-			// scanned in full, exactly as the serial sweep would. While the
-			// row stays cold, the cursor jumps straight to the next dirty
-			// partner (word-skip over clean stretches).
-			if !cand.Test(j1) && !dirty.Test(j1) {
-				if j2 = dirty.NextSet(j2); j2 >= s.n {
-					break
-				}
-			}
-			if t.Partition(j1) == t.Partition(j2) || t.SwapDelta(j1, j2) >= 0 || !swapOK(j1, j2) {
-				j2++
-				continue
-			}
-			apply(j1, j2)
-			j2++
-		}
-	}
-	return improved
-}
-
-// markNeighborsDirty marks every CSR partner of j in dirty — the shared
-// invalidation walk of the sharded polish sweeps.
-func (s *solver) markNeighborsDirty(dirty *bitset.Set, j int) {
-	cs := s.csr
-	lo, hi := cs.Row(j)
-	for _, o := range cs.Col[lo:hi] {
-		dirty.Set(int(o))
-	}
 }
 
 // repairPairs tries joint relocations of both endpoints of each violated

@@ -1,42 +1,18 @@
 package qbp
 
-// Bit-exactness tests for the coupling-representation choice: the CSR and
-// dense kernels must agree exactly — η columns, penalized values and move
-// deltas, final assignments — across random instances (sparse and dense),
-// every Workers value, and mid-solve cancellation. The representation is a
-// cost model, never a behavior.
+// Exactness tests for the CSR kernels against references that share none
+// of their code: the per-arc value reference, value differences for the
+// move deltas, and the dense Q̂ of qmatrix for values and η — across random
+// instances from sparse-sampled to dense Bernoulli.
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
-	"repro/internal/adjacency"
 	"repro/internal/model"
 	"repro/internal/qmatrix"
-	"repro/internal/sparsemat"
 	"repro/internal/testgen"
 )
-
-// newTestSolverRep is newTestSolver with a forced coupling representation.
-func newTestSolverRep(p *model.Problem, penalty int64, relax bool, rep sparsemat.Rep) *solver {
-	norm := p.Normalized()
-	s := &solver{
-		p:       norm,
-		adj:     adjacency.Build(norm.Circuit),
-		m:       norm.M(),
-		n:       norm.N(),
-		b:       norm.Topology.Cost,
-		d:       norm.Topology.Delay,
-		penalty: penalty,
-		relax:   relax,
-		repReq:  rep,
-	}
-	s.omega = qmatrix.Omega(norm, s.adj, s.effectivePenalty())
-	s.initKernel()
-	s.sc = newScratch(s.m, s.n)
-	return s
-}
 
 // repTestInstance draws instances across the density spectrum: sparse
 // sampled (bounded average degree), dense Bernoulli, and tiny.
@@ -54,181 +30,59 @@ func repTestInstance(rng *rand.Rand, trial int) *model.Problem {
 	return p
 }
 
-// TestRepKernelsBitExact drives the sparse and dense kernel stacks side by
-// side over the same perturbation sequence and asserts exact equality of η
-// (full and incremental), penalized values, and move/joint deltas.
-func TestRepKernelsBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 18; trial++ {
-		p := repTestInstance(rng, trial)
-		relax := trial%5 == 4
-		sp := newTestSolverRep(p, DefaultPenalty, relax, sparsemat.RepSparse)
-		dn := newTestSolverRep(p, DefaultPenalty, relax, sparsemat.RepDense)
-		if sp.dns != nil || dn.dns == nil {
-			t.Fatalf("trial %d: forced representations not honored", trial)
-		}
-		u := make([]int, sp.n)
-		for j := range u {
-			u[j] = rng.Intn(sp.m)
-		}
-		withOmega := trial%2 == 0
-		for step := 0; step < 8; step++ {
-			gotS := sp.refreshEta(u, withOmega)
-			gotD := dn.refreshEta(u, withOmega)
-			for r := range gotS {
-				if gotS[r] != gotD[r] {
-					i, j := qmatrix.Unpack(r, sp.m)
-					t.Fatalf("trial %d step %d: η[%d][%d] sparse %d vs dense %d",
-						trial, step, i, j, gotS[r], gotD[r])
-				}
-			}
-			if vs, vd := sp.penalizedValue(u), dn.penalizedValue(u); vs != vd {
-				t.Fatalf("trial %d step %d: penalizedValue sparse %d vs dense %d", trial, step, vs, vd)
-			}
-			j, to := rng.Intn(sp.n), rng.Intn(sp.m)
-			if ds, dd := sp.moveDeltaPenalized(u, j, to), dn.moveDeltaPenalized(u, j, to); ds != dd {
-				t.Fatalf("trial %d step %d: moveDelta sparse %d vs dense %d", trial, step, ds, dd)
-			}
-			j2 := rng.Intn(sp.n)
-			i1, i2 := rng.Intn(sp.m), rng.Intn(sp.m)
-			if j2 != j {
-				if ds, dd := sp.jointDeltaPenalized(u, j, i1, j2, i2), dn.jointDeltaPenalized(u, j, i1, j2, i2); ds != dd {
-					t.Fatalf("trial %d step %d: jointDelta sparse %d vs dense %d", trial, step, ds, dd)
-				}
-			}
-			// Perturb: sometimes one component, sometimes many (forcing the
-			// full-rebuild heuristic on the next refresh).
-			for x := 0; x < 1+(step%3)*sp.n/3; x++ {
-				u[rng.Intn(sp.n)] = rng.Intn(sp.m)
-			}
-		}
-	}
-}
-
-// checkRepEquality solves one instance under both forced representations
-// (and auto), across Workers values, asserting identical results.
-func checkRepEquality(t *testing.T, seed int64, iterations, workers int, relax bool) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	p := repTestInstance(rng, int(seed))
-	base := Options{Iterations: iterations, Seed: seed, RelaxTiming: relax}
-	base.Matrix = sparsemat.RepSparse
-	ref, err := Solve(context.Background(), p, base)
-	if err != nil {
-		t.Fatalf("seed %d sparse: %v", seed, err)
-	}
-	if ref.Stats.Matrix != "sparse" {
-		t.Fatalf("seed %d: forced sparse reported %q", seed, ref.Stats.Matrix)
-	}
-	for _, rep := range []sparsemat.Rep{sparsemat.RepDense, sparsemat.RepAuto} {
-		o := base
-		o.Matrix = rep
-		o.Workers = workers
-		got, err := Solve(context.Background(), p, o)
-		if err != nil {
-			t.Fatalf("seed %d rep=%v: %v", seed, rep, err)
-		}
-		if got.Objective != ref.Objective || got.Penalized != ref.Penalized || got.Feasible != ref.Feasible {
-			t.Fatalf("seed %d rep=%v workers=%d: %d/%d/%v, want %d/%d/%v", seed, rep, workers,
-				got.Objective, got.Penalized, got.Feasible, ref.Objective, ref.Penalized, ref.Feasible)
-		}
-		for j := range ref.Assignment {
-			if got.Assignment[j] != ref.Assignment[j] {
-				t.Fatalf("seed %d rep=%v workers=%d: assignment diverged at component %d", seed, rep, workers, j)
-			}
-		}
-		if got.Stats.Matrix == "" || got.Stats.NNZ != ref.Stats.NNZ || got.Stats.Density != ref.Stats.Density {
-			t.Fatalf("seed %d rep=%v: stats matrix=%q nnz=%d density=%v, want nnz=%d density=%v",
-				seed, rep, got.Stats.Matrix, got.Stats.NNZ, got.Stats.Density, ref.Stats.NNZ, ref.Stats.Density)
-		}
-	}
-}
-
-// TestRepEquality is the end-to-end contract: same seed ⇒ same assignment
-// regardless of representation or Workers.
-func TestRepEquality(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		checkRepEquality(t, seed, 12, 1+int(seed%4)*3, seed%4 == 3)
-	}
-}
-
+// FuzzRepEquality checks the CSR kernels against the dense Q̂ (or Q when
+// timing is relaxed) built by qmatrix: penalizedValue against yᵀQ̂y and
+// the per-arc reference, moveDeltaPenalized against the difference of two
+// yᵀQ̂y evaluations, and the full η rebuild against Q̂'s column sums, with
+// the linear diagonal charged at every slot.
 func FuzzRepEquality(f *testing.F) {
-	f.Add(int64(1), 5, 1, false)
-	f.Add(int64(2), 10, 3, false)
-	f.Add(int64(3), 8, 7, true)
-	f.Fuzz(func(t *testing.T, seed int64, iterations, workers int, relax bool) {
-		if iterations < 1 || iterations > 20 || workers < 1 || workers > 8 {
-			t.Skip()
+	f.Add(int64(1), 0, false)
+	f.Add(int64(2), 1, false)
+	f.Add(int64(3), 2, true)
+	f.Fuzz(func(t *testing.T, seed int64, shape int, relax bool) {
+		rng := rand.New(rand.NewSource(seed))
+		p := repTestInstance(rng, shape)
+		s := newTestSolver(p, DefaultPenalty, relax)
+		q := qmatrix.DenseBase(s.p)
+		if !relax {
+			q = qmatrix.DenseQhat(s.p, s.penalty)
 		}
-		checkRepEquality(t, seed, iterations, workers, relax)
-	})
-}
+		m := s.m
+		u := make(model.Assignment, s.n)
+		for probe := 0; probe < 4; probe++ {
+			for j := range u {
+				u[j] = rng.Intn(m)
+			}
+			val := qmatrix.Value(q, u, m)
+			if got := s.penalizedValue(u); got != val {
+				t.Fatalf("probe %d: penalizedValue = %d, yᵀQ̂y = %d", probe, got, val)
+			}
+			if ref := refPenalizedValue(s, u); ref != val {
+				t.Fatalf("probe %d: per-arc reference = %d, yᵀQ̂y = %d", probe, ref, val)
+			}
 
-// TestRepEqualityUnderCancellation cancels both representations' solves at
-// the same iteration boundary and asserts they stop on the same incumbent:
-// the PR 4 determinism-under-cancellation contract is representation-blind.
-func TestRepEqualityUnderCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
-		p := repTestInstance(rng, trial)
-		stopAt := 3 + trial
-		run := func(rep sparsemat.Rep) *Result {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			res, err := Solve(ctx, p, Options{
-				Iterations: 50,
-				Seed:       int64(trial),
-				Matrix:     rep,
-				OnIteration: func(it Iteration) {
-					if it.K == stopAt {
-						cancel()
+			s.etaFull(s.sc.etaI, u, false)
+			for j2 := 0; j2 < s.n; j2++ {
+				for i2 := 0; i2 < m; i2++ {
+					c := qmatrix.Pack(i2, j2, m)
+					want := s.p.LinearAt(i2, j2)
+					for j1, i1 := range u {
+						if j1 != j2 {
+							want += q[qmatrix.Pack(i1, j1, m)][c]
+						}
 					}
-				},
-			})
-			if err != nil {
-				t.Fatalf("trial %d rep=%v: %v", trial, rep, err)
+					if got := s.sc.etaI[c]; got != want {
+						t.Fatalf("probe %d: η[%d][%d] = %d, Q̂ column sum %d", probe, i2, j2, got, want)
+					}
+				}
 			}
-			return res
-		}
-		ref := run(sparsemat.RepSparse)
-		got := run(sparsemat.RepDense)
-		if !ref.Stopped || !got.Stopped {
-			t.Fatalf("trial %d: stopped sparse=%v dense=%v, want both", trial, ref.Stopped, got.Stopped)
-		}
-		if got.Objective != ref.Objective || got.Penalized != ref.Penalized {
-			t.Fatalf("trial %d: cancelled objectives diverged: %d/%d vs %d/%d",
-				trial, got.Objective, got.Penalized, ref.Objective, ref.Penalized)
-		}
-		for j := range ref.Assignment {
-			if got.Assignment[j] != ref.Assignment[j] {
-				t.Fatalf("trial %d: cancelled assignment diverged at component %d", trial, j)
-			}
-		}
-	}
-}
 
-// TestMatrixOptionValidation pins the Options.Matrix contract: out-of-range
-// values error up front, valid ones resolve and are reported in the stats.
-func TestMatrixOptionValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p, _ := testgen.Random(rng, testgen.Config{N: 12})
-	if _, err := Solve(context.Background(), p, Options{Iterations: 1, Matrix: sparsemat.Rep(99)}); err == nil {
-		t.Fatal("invalid Matrix value must be rejected")
-	}
-	res, err := Solve(context.Background(), p, Options{Iterations: 1, Matrix: sparsemat.RepDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Matrix != "dense" || res.Stats.NNZ == 0 || res.Stats.Density <= 0 {
-		t.Fatalf("stats not populated: matrix=%q nnz=%d density=%v",
-			res.Stats.Matrix, res.Stats.NNZ, res.Stats.Density)
-	}
-	// A tiny threshold flips auto to dense on any coupled instance.
-	res, err = Solve(context.Background(), p, Options{Iterations: 1, MatrixDensityThreshold: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Matrix != "dense" {
-		t.Fatalf("threshold override ignored: resolved %q", res.Stats.Matrix)
-	}
+			j, to := rng.Intn(s.n), rng.Intn(m)
+			d := s.moveDeltaPenalized(u, j, to)
+			u[j] = to
+			if after := qmatrix.Value(q, u, m); after-val != d {
+				t.Fatalf("probe %d: moveDelta(component %d → %d) = %d, yᵀQ̂y change %d", probe, j, to, d, after-val)
+			}
+		}
+	})
 }

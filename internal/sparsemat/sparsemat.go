@@ -1,22 +1,13 @@
-// Package sparsemat holds the coupling-matrix representations behind the
-// solve kernels. The paper's instances are netlists, and netlist coupling
-// matrices a[j1][j2] are overwhelmingly sparse (bounded fan-out), so the
-// canonical representation here is CSR: per-component neighbor lists stored
-// as four flat, contiguous arrays — no per-row slice headers, no pointer
-// chasing, one cache stream per kernel pass. A dense row-major mirror is
-// kept for instances whose coupling graph genuinely fills up (a dense row
-// scan has no index indirection at all), with automatic selection between
-// the two by measured density.
-//
-// Every representation enumerates exactly the same coupling multiset in the
-// same (ascending-partner) order, and the kernels consuming them accumulate
-// in exact int64 arithmetic — so dense and sparse paths are bit-identical by
-// construction, and the choice is purely a cost model.
+// Package sparsemat holds the coupling matrix behind the solve kernels. The
+// paper's instances are netlists, and netlist coupling matrices a[j1][j2]
+// are overwhelmingly sparse (bounded fan-out), so the representation here is
+// CSR: per-component neighbor lists stored as four flat, contiguous arrays —
+// no per-row slice headers, no pointer chasing, one cache stream per kernel
+// pass. Rows enumerate partners in ascending order, which fixes the
+// accumulation order of every kernel that walks them.
 package sparsemat
 
 import (
-	"fmt"
-
 	"repro/internal/adjacency"
 	"repro/internal/flatmat"
 	"repro/internal/model"
@@ -26,11 +17,6 @@ import (
 // flatmat.UnconstrainedClass, the value the effective-row kernel dispatches
 // on.
 const UnconstrainedClass = flatmat.UnconstrainedClass
-
-// NoArc is the Dense class entry of component pairs with no coupling at all
-// (no wire and no timing bound). Distinct from UnconstrainedClass, which
-// still carries a wire weight.
-const NoArc = -2
 
 // CSR is the compressed-sparse-row coupling matrix: row j's arcs occupy the
 // index range [RowPtr[j], RowPtr[j+1]) of the parallel Col/Weight/Class/
@@ -131,132 +117,4 @@ func (c *CSR) find(j1, j2 int) int {
 		return lo
 	}
 	return -1
-}
-
-// BalancedShards splits the rows [0, N) into parts contiguous ranges of
-// near-equal arc mass and returns the parts+1 boundary list. Each row is
-// weighted by its degree plus one — the "+1" charges the per-column fixed
-// work (zeroing, linear/ω terms) so empty rows still count — which keeps
-// worker shards balanced on skewed-degree instances where equal row counts
-// are not equal work. The boundaries depend only on the matrix and parts,
-// never on the assignment, so sharded kernels stay deterministic.
-func (c *CSR) BalancedShards(parts int) []int {
-	if parts < 1 {
-		parts = 1
-	}
-	bounds := make([]int, parts+1)
-	total := int64(c.NNZ()) + int64(c.N)
-	b := 1
-	var acc int64
-	for j := 0; j < c.N && b < parts; j++ {
-		acc += int64(c.Degree(j)) + 1
-		for b < parts && acc*int64(parts) >= int64(b)*total {
-			bounds[b] = j + 1
-			b++
-		}
-	}
-	for ; b <= parts; b++ {
-		bounds[b] = c.N
-	}
-	return bounds
-}
-
-// Dense is the row-major dense mirror: entry (j1, j2) lives at j1·N + j2.
-// Class is NoArc where the pair carries no coupling, so a row scan skips
-// non-entries with a single comparison and no index array.
-type Dense struct {
-	N      int
-	Weight []int64 // N×N
-	Class  []int32 // N×N, NoArc for absent pairs
-}
-
-// ToDense materializes the dense mirror. O(N²) memory — callers gate this
-// behind the density threshold (or an explicit user override).
-func (c *CSR) ToDense() *Dense {
-	n := c.N
-	d := &Dense{
-		N:      n,
-		Weight: make([]int64, n*n),
-		Class:  make([]int32, n*n),
-	}
-	for r := range d.Class {
-		d.Class[r] = NoArc
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := c.Row(j)
-		base := j * n
-		for k := lo; k < hi; k++ {
-			d.Weight[base+int(c.Col[k])] = c.Weight[k]
-			d.Class[base+int(c.Col[k])] = c.Class[k]
-		}
-	}
-	return d
-}
-
-// Row returns the contiguous weight and class rows of component j.
-func (d *Dense) Row(j int) (w []int64, cls []int32) {
-	return d.Weight[j*d.N : (j+1)*d.N], d.Class[j*d.N : (j+1)*d.N]
-}
-
-// Rep selects the coupling representation behind the solve kernels.
-type Rep int
-
-const (
-	// RepAuto picks by density: CSR below DefaultDensityThreshold (or the
-	// caller's override), dense at or above it.
-	RepAuto Rep = iota
-	// RepSparse forces the CSR kernels.
-	RepSparse
-	// RepDense forces the dense row-scan kernels.
-	RepDense
-)
-
-// DefaultDensityThreshold is the auto-selection crossover. Both kernel
-// families pay the identical fused effective-row arithmetic per stored arc;
-// the dense scan saves only the per-arc column indirection and in exchange
-// visits every non-entry slot (plus an O(N²) mirror build per solve), so it
-// can win only when nearly every slot holds an arc. Netlists never get
-// close; only near-complete coupling graphs (random QAP-style instances)
-// cross it.
-const DefaultDensityThreshold = 0.9
-
-// String returns the flag spelling of r.
-func (r Rep) String() string {
-	switch r {
-	case RepSparse:
-		return "sparse"
-	case RepDense:
-		return "dense"
-	default:
-		return "auto"
-	}
-}
-
-// ParseRep parses the -matrix flag spelling.
-func ParseRep(s string) (Rep, error) {
-	switch s {
-	case "auto", "":
-		return RepAuto, nil
-	case "sparse":
-		return RepSparse, nil
-	case "dense":
-		return RepDense, nil
-	}
-	return RepAuto, fmt.Errorf("sparsemat: unknown representation %q (want auto, sparse or dense)", s)
-}
-
-// Resolve turns a requested representation into a concrete one for this
-// matrix: explicit requests pass through, RepAuto compares the measured
-// density against threshold (≤ 0 means DefaultDensityThreshold).
-func (c *CSR) Resolve(r Rep, threshold float64) Rep {
-	if r != RepAuto {
-		return r
-	}
-	if threshold <= 0 {
-		threshold = DefaultDensityThreshold
-	}
-	if c.Density() >= threshold {
-		return RepDense
-	}
-	return RepSparse
 }

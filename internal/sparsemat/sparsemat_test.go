@@ -92,127 +92,6 @@ func TestPairLookups(t *testing.T) {
 	}
 }
 
-func TestToDenseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	l := adjacency.Build(randomCircuit(rng, 25, 5))
-	_, classes := l.DelayClasses()
-	c := FromLists(l, classes)
-	d := c.ToDense()
-	for j1 := 0; j1 < c.N; j1++ {
-		w, cls := d.Row(j1)
-		for j2 := 0; j2 < c.N; j2++ {
-			k := c.find(j1, j2)
-			switch {
-			case k < 0:
-				if cls[j2] != NoArc || w[j2] != 0 {
-					t.Fatalf("(%d,%d): dense entry for absent arc", j1, j2)
-				}
-			default:
-				if cls[j2] != c.Class[k] || w[j2] != c.Weight[k] {
-					t.Fatalf("(%d,%d): dense (%d,%d), want (%d,%d)",
-						j1, j2, cls[j2], w[j2], c.Class[k], c.Weight[k])
-				}
-			}
-		}
-	}
-}
-
-func TestBalancedShards(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(200)
-		l := adjacency.Build(randomCircuit(rng, n+1, 8*rng.Float64()))
-		c := FromLists(l, nil)
-		for _, parts := range []int{1, 2, 3, 7, 16} {
-			bounds := c.BalancedShards(parts)
-			if len(bounds) != parts+1 || bounds[0] != 0 || bounds[parts] != c.N {
-				t.Fatalf("trial %d parts=%d: bad boundary frame %v", trial, parts, bounds)
-			}
-			total := int64(c.NNZ() + c.N)
-			target := total / int64(parts)
-			for s := 0; s < parts; s++ {
-				if bounds[s] > bounds[s+1] {
-					t.Fatalf("trial %d parts=%d: non-monotone bounds %v", trial, parts, bounds)
-				}
-				var mass int64
-				var maxRow int64
-				for j := bounds[s]; j < bounds[s+1]; j++ {
-					w := int64(c.Degree(j)) + 1
-					mass += w
-					if w > maxRow {
-						maxRow = w
-					}
-				}
-				// A shard can exceed the ideal target by at most one row
-				// (rows are indivisible).
-				if mass > target+maxRow && parts > 1 {
-					t.Fatalf("trial %d parts=%d shard %d: mass %d exceeds target %d + max row %d",
-						trial, parts, s, mass, target, maxRow)
-				}
-			}
-		}
-	}
-}
-
-func TestBalancedShardsDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	l := adjacency.Build(randomCircuit(rng, 100, 6))
-	c := FromLists(l, nil)
-	a, b := c.BalancedShards(7), c.BalancedShards(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("boundary %d diverged: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-func TestRepResolveAndParse(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sparse := FromLists(adjacency.Build(randomCircuit(rng, 100, 3)), nil)
-	if got := sparse.Resolve(RepAuto, 0); got != RepSparse {
-		t.Fatalf("auto on sparse matrix resolved to %v", got)
-	}
-	// A near-complete coupling graph resolves dense.
-	c := &model.Circuit{Name: "full", Sizes: make([]int64, 12)}
-	for j := range c.Sizes {
-		c.Sizes[j] = 1
-	}
-	for j1 := 0; j1 < 12; j1++ {
-		for j2 := j1 + 1; j2 < 12; j2++ {
-			c.Wires = append(c.Wires, model.Wire{From: j1, To: j2, Weight: 1})
-		}
-	}
-	full := FromLists(adjacency.Build(c), nil)
-	if got := full.Resolve(RepAuto, 0); got != RepDense {
-		t.Fatalf("auto on complete matrix resolved to %v", got)
-	}
-	// Explicit requests pass through; threshold overrides flip auto.
-	if full.Resolve(RepSparse, 0) != RepSparse || sparse.Resolve(RepDense, 0) != RepDense {
-		t.Fatal("explicit representation request did not pass through")
-	}
-	if sparse.Resolve(RepAuto, 1e-9) != RepDense {
-		t.Fatal("tiny threshold should force dense")
-	}
-
-	for _, tc := range []struct {
-		in   string
-		want Rep
-		ok   bool
-	}{
-		{"auto", RepAuto, true}, {"", RepAuto, true},
-		{"sparse", RepSparse, true}, {"dense", RepDense, true},
-		{"csr", RepAuto, false},
-	} {
-		got, err := ParseRep(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Fatalf("ParseRep(%q) = (%v, %v)", tc.in, got, err)
-		}
-	}
-	if RepAuto.String() != "auto" || RepSparse.String() != "sparse" || RepDense.String() != "dense" {
-		t.Fatal("Rep.String spelling drifted from the flag vocabulary")
-	}
-}
-
 func TestDensity(t *testing.T) {
 	empty := FromLists(adjacency.Build(&model.Circuit{Name: "e", Sizes: []int64{1}}), nil)
 	if empty.Density() != 0 {

@@ -55,7 +55,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/qap"
 	"repro/internal/qbp"
-	"repro/internal/sparsemat"
 	"repro/internal/textio"
 	"repro/internal/timing"
 	"repro/internal/validate"
@@ -125,26 +124,6 @@ type (
 	// QBPSolveStats.Trajectory.
 	QBPTrajectoryPoint = qbp.TrajectoryPoint
 )
-
-// MatrixRep selects the coupling-matrix representation behind the QBP solve
-// kernels (QBPOptions.Matrix): a CSR adjacency walk or a dense row scan. The
-// solver builds the CSR once per solve and resolves MatrixAuto by measured
-// density against QBPOptions.MatrixDensityThreshold. The choice can never
-// change a result — both paths are bit-identical — only its cost.
-type MatrixRep = sparsemat.Rep
-
-// Coupling-matrix representations.
-const (
-	MatrixAuto   = sparsemat.RepAuto
-	MatrixSparse = sparsemat.RepSparse
-	MatrixDense  = sparsemat.RepDense
-)
-
-// ParseMatrixRep parses the flag spelling of a representation: "auto" (or
-// empty), "sparse", or "dense".
-func ParseMatrixRep(s string) (MatrixRep, error) {
-	return sparsemat.ParseRep(s)
-}
 
 // SolveQBP partitions p with the generalized Burkard heuristic over the
 // timing-embedded quadratic Boolean program. Cancelling ctx mid-solve
