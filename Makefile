@@ -15,17 +15,18 @@ test-race:
 
 # Perf artifact: the paper tables/ablations (one full solve per op), the
 # multilevel V-cycle sweep, plus the kernel micro-benchmarks (the CSR
-# density sweeps, the bit-packed membership kernels, and the text-vs-binary
-# serializers), 6 repetitions each, folded into BENCH_PR10.json (ns/op,
-# allocs/op, and the finalWL quality metric per instance).
-BENCHJSON ?= BENCH_PR10.json
-BENCH_MICRO = ComputeEta|PenalizedValue|GAPSolve|EtaIncrementalSweep|BitsetMembership|BinaryReadWrite
+# density sweeps, the GAP solve sweep, the gain-table move and swap scan,
+# the bit-packed membership kernels, and the text-vs-binary serializers),
+# 6 repetitions each, folded into BENCH_PR17.json (ns/op, allocs/op, and
+# the finalWL quality metric per instance).
+BENCHJSON ?= BENCH_PR17.json
+BENCH_MICRO = ComputeEta|PenalizedValue|GAPSolve|EtaIncrementalSweep|GainsApply|SwapScan|BitsetMembership|BinaryReadWrite
 
 bench:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) test -bench . -benchmem -benchtime 1x -count 6 -run '^$$' . > $$tmp/tables.txt; \
 	$(GO) test -bench '$(BENCH_MICRO)' -benchmem -benchtime 200ms -count 6 -run '^$$' \
-		./internal/qbp ./internal/gap ./internal/bitset ./internal/textio > $$tmp/micro.txt; \
+		./internal/qbp ./internal/gap ./internal/gains ./internal/bitset ./internal/textio > $$tmp/micro.txt; \
 	$(GO) run ./cmd/benchjson -o $(BENCHJSON) $$tmp/tables.txt $$tmp/micro.txt; \
 	echo "wrote $(BENCHJSON)"
 

@@ -21,15 +21,23 @@ import (
 )
 
 // Table is the incremental state. Create with New; mutate only through
-// Apply and ApplySwap.
+// Apply and ApplySwap. SwapDelta writes to the table's pinned-row cache, so
+// a Table must not be shared between goroutines, not even for reads.
 type Table struct {
 	p     *model.Problem     // normalized PP(1,1)
 	csr   *sparsemat.CSR     // flattened coupling rows (weights + timing bounds)
+	m     int                // number of partitions
+	bp    []int64            // bp[x·M+y] = b[x][y] + b[y][x], symmetric in x, y
 	u     []int              // current assignment
 	loads []int64            // per-partition load
 	memb  *bitset.Membership // per-partition membership bitsets over u
 	delta [][]int64          // delta[j][t] = objective change of moving j to t
 	obj   int64              // current objective, maintained incrementally
+	shift []int64            // move's length-M scratch: bp(to,x) − bp(s,x)
+	// The pinned row: wire[k] = w(pinned, k) for every partner k of the
+	// component SwapDelta last saw as j1, zero elsewhere (−1: none yet).
+	pinned int
+	wire   []int64
 }
 
 // New builds a table over a copy of the initial assignment. The problem is
@@ -39,18 +47,31 @@ func New(p *model.Problem, adj *adjacency.Lists, initial model.Assignment) (*Tab
 	if len(initial) != p.N() || !initial.Valid(p.M()) {
 		return nil, fmt.Errorf("gains: initial assignment invalid (len %d, want %d complete in-range entries)", len(initial), p.N())
 	}
+	m := p.M()
 	t := &Table{
-		p:     p,
-		csr:   sparsemat.FromLists(adj, nil),
-		u:     append([]int(nil), initial...),
-		loads: p.Loads(initial),
-		memb:  bitset.NewMembership(p.M(), p.N()),
-		delta: make([][]int64, p.N()),
-		obj:   p.Objective(initial),
+		p:      p,
+		csr:    sparsemat.FromLists(adj, nil),
+		m:      m,
+		bp:     make([]int64, m*m),
+		u:      append([]int(nil), initial...),
+		loads:  p.Loads(initial),
+		memb:   bitset.NewMembership(m, p.N()),
+		delta:  make([][]int64, p.N()),
+		obj:    p.Objective(initial),
+		shift:  make([]int64, m),
+		pinned: -1,
+		wire:   make([]int64, p.N()),
+	}
+	b := p.Topology.Cost
+	for x := 0; x < m; x++ {
+		row := t.bpRow(x)
+		for y := range row {
+			row[y] = b[x][y] + b[y][x]
+		}
 	}
 	t.memb.Build(t.u)
 	for j := range t.delta {
-		t.delta[j] = make([]int64, p.M())
+		t.delta[j] = make([]int64, m)
 		t.recompute(j)
 	}
 	return t, nil
@@ -111,19 +132,17 @@ func (t *Table) Boundary(dst *bitset.Set) {
 	}
 }
 
-// bp returns b[x][y] + b[y][x], the both-direction cost coupling.
-func (t *Table) bp(x, y int) int64 {
-	b := t.p.Topology.Cost
-	return b[x][y] + b[y][x]
-}
+// bpRow returns bp(x, ·), the both-direction cost coupling of partition x
+// with every partition; by symmetry it is also bp(·, x).
+func (t *Table) bpRow(x int) []int64 { return t.bp[x*t.m : (x+1)*t.m] }
 
 // recompute rebuilds row j of the delta table from scratch:
-// delta[j][to] = lin(to,j) − lin(s,j) + Σ_arcs w·(bp(to,i2) − bp(s,i2)).
+// delta[j][to] = lin(to,j) − lin(s,j) + Σ_arcs w·(bp(to,i2) − bp(s,i2)),
+// which is exactly 0 at to = s.
 func (t *Table) recompute(j int) {
 	s := t.u[j]
 	row := t.delta[j]
-	m := t.p.M()
-	for to := 0; to < m; to++ {
+	for to := range row {
 		row[to] = t.p.LinearAt(to, j) - t.p.LinearAt(s, j)
 	}
 	cs := t.csr
@@ -134,24 +153,45 @@ func (t *Table) recompute(j int) {
 			continue // timing-only arc: no cost coupling
 		}
 		i2 := t.u[cs.Col[k]]
-		base := w * t.bp(s, i2)
-		for to := 0; to < m; to++ {
-			row[to] += w*t.bp(to, i2) - base
+		bp := t.bpRow(i2)
+		base := w * bp[s]
+		for to := range row {
+			row[to] += w*bp[to] - base
 		}
 	}
-	row[s] = 0
 }
 
-// refreshAround recomputes row j and the rows of all wire neighbors of j
-// (timing-only neighbors have no cost coupling, so their rows are
-// unaffected).
-func (t *Table) refreshAround(j int) {
-	t.recompute(j)
+// move relocates j to partition to and shifts the row of every wire
+// neighbor n (in partition sn) by the one arc term that changed:
+// delta[n][x] += w·(bp(x,to) − bp(x,s) − bp(sn,to) + bp(sn,s)). That is
+// O(M) per neighbor instead of a rebuild over its whole CSR row, and the
+// arithmetic is int64, so the shifted row equals the rebuilt one exactly
+// (both are the same sum modulo 2⁶⁴). j's own row is left stale for the
+// caller to recompute.
+func (t *Table) move(j, to int) {
+	s := t.u[j]
+	sz := t.p.Circuit.Sizes[j]
+	t.loads[s] -= sz
+	t.loads[to] += sz
+	t.u[j] = to
+	t.memb.Move(j, s, to)
+	d := t.shift
+	bpTo, bpS := t.bpRow(to), t.bpRow(s)
+	for x := range d {
+		d[x] = bpTo[x] - bpS[x]
+	}
 	cs := t.csr
 	lo, hi := cs.Row(j)
 	for k := lo; k < hi; k++ {
-		if cs.Weight[k] != 0 {
-			t.recompute(int(cs.Col[k]))
+		w := cs.Weight[k]
+		if w == 0 {
+			continue // timing-only neighbors have no cost coupling
+		}
+		n := int(cs.Col[k])
+		row := t.delta[n]
+		base := d[t.u[n]]
+		for x := range row {
+			row[x] += w * (d[x] - base)
 		}
 	}
 }
@@ -192,16 +232,12 @@ func (t *Table) MoveOK(j, to int) bool {
 // Apply moves component j to partition to, updating the objective, the
 // loads and the affected delta rows. It does not check admissibility.
 func (t *Table) Apply(j, to int) {
-	s := t.u[j]
-	if s == to {
+	if t.u[j] == to {
 		return
 	}
 	t.obj += t.delta[j][to]
-	t.loads[s] -= t.p.Circuit.Sizes[j]
-	t.loads[to] += t.p.Circuit.Sizes[j]
-	t.u[j] = to
-	t.memb.Move(j, s, to)
-	t.refreshAround(j)
+	t.move(j, to)
+	t.recompute(j)
 }
 
 // SwapDelta returns the objective change of exchanging the partitions of j1
@@ -209,16 +245,41 @@ func (t *Table) Apply(j, to int) {
 // corrected: the two single-move deltas each assume the partner stays put,
 // double-counting the shared wire, so 2·w·bp(s1,s2) is added back (the wire
 // between them keeps its length under a swap).
+//
+// The pair weight w(j1,j2) is read in O(1) from the pinned row: j1's CSR
+// row scattered into an N-length scratch, re-pinned (clearing the previous
+// j1's entries) only when j1 changes. Scans that fix j1 in their outer loop
+// pay the scatter once per j1.
 func (t *Table) SwapDelta(j1, j2 int) int64 {
 	s1, s2 := t.u[j1], t.u[j2]
 	if s1 == s2 {
 		return 0
 	}
+	if t.pinned != j1 {
+		t.pin(j1)
+	}
 	d := t.delta[j1][s2] + t.delta[j2][s1]
-	if w := t.csr.WireWeight(j1, j2); w != 0 {
-		d += 2 * w * t.bp(s1, s2)
+	if w := t.wire[j2]; w != 0 {
+		d += 2 * w * t.bpRow(s1)[s2]
 	}
 	return d
+}
+
+// pin scatters j's wire weights into the pinned row, first clearing the
+// entries of the previously pinned component.
+func (t *Table) pin(j int) {
+	cs := t.csr
+	if t.pinned >= 0 {
+		lo, hi := cs.Row(t.pinned)
+		for k := lo; k < hi; k++ {
+			t.wire[cs.Col[k]] = 0
+		}
+	}
+	lo, hi := cs.Row(j)
+	for k := lo; k < hi; k++ {
+		t.wire[cs.Col[k]] = cs.Weight[k]
+	}
+	t.pinned = j
 }
 
 // SwapCapacityOK reports whether exchanging j1 and j2 keeps C1.
@@ -275,12 +336,8 @@ func (t *Table) ApplySwap(j1, j2 int) {
 		return
 	}
 	t.obj += t.SwapDelta(j1, j2)
-	sz1, sz2 := t.p.Circuit.Sizes[j1], t.p.Circuit.Sizes[j2]
-	t.loads[s1] += sz2 - sz1
-	t.loads[s2] += sz1 - sz2
-	t.u[j1], t.u[j2] = s2, s1
-	t.memb.Move(j1, s1, s2)
-	t.memb.Move(j2, s2, s1)
-	t.refreshAround(j1)
-	t.refreshAround(j2)
+	t.move(j1, s2)
+	t.move(j2, s1)
+	t.recompute(j1)
+	t.recompute(j2)
 }

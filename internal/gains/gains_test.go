@@ -1,6 +1,7 @@
 package gains
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -65,50 +66,152 @@ func TestSwapDeltaMatchesRecomputed(t *testing.T) {
 	}
 }
 
-// Property test: after a long random sequence of moves and swaps, the
-// incrementally maintained objective, loads and every delta entry agree
-// with from-scratch recomputation.
+// checkFresh compares every piece of tb's incremental state — objective,
+// loads, membership and each delta row — with a table built from scratch on
+// tb's current assignment.
+func checkFresh(t *testing.T, tb *Table, p *model.Problem, what string) {
+	t.Helper()
+	a := tb.Assignment()
+	fresh := newTable(t, p, a)
+	if got, want := tb.Objective(), p.Normalized().Objective(a); got != want || fresh.Objective() != want {
+		t.Fatalf("%s: objective %d, fresh %d, recomputed %d", what, got, fresh.Objective(), want)
+	}
+	for i := 0; i < p.M(); i++ {
+		if tb.Load(i) != fresh.Load(i) || tb.Size(i) != fresh.Size(i) {
+			t.Fatalf("%s: partition %d load/size %d/%d, fresh %d/%d", what, i, tb.Load(i), tb.Size(i), fresh.Load(i), fresh.Size(i))
+		}
+	}
+	for j := 0; j < p.N(); j++ {
+		got, want := tb.DeltaRow(j), fresh.DeltaRow(j)
+		for to := range want {
+			if got[to] != want[to] {
+				t.Fatalf("%s: Delta(%d,%d) = %d, fresh table %d", what, j, to, got[to], want[to])
+			}
+		}
+	}
+}
+
+// checkSwapDelta compares SwapDelta(j1, j2) with the objective difference
+// of the swapped assignment.
+func checkSwapDelta(t *testing.T, tb *Table, p *model.Problem, j1, j2 int, what string) {
+	t.Helper()
+	norm := p.Normalized()
+	a := tb.Assignment()
+	b := a.Clone()
+	b[j1], b[j2] = b[j2], b[j1]
+	if got, want := tb.SwapDelta(j1, j2), norm.Objective(b)-norm.Objective(a); got != want {
+		t.Fatalf("%s: SwapDelta(%d,%d) = %d, want %d", what, j1, j2, got, want)
+	}
+}
+
+// skewCosts replaces the topology's cost matrix with a random asymmetric
+// one, so b[x][y] ≠ b[y][x] and the both-direction coupling bp really sums
+// two different entries.
+func skewCosts(rng *rand.Rand, p *model.Problem) {
+	m := p.M()
+	cost := make([][]int64, m)
+	for x := range cost {
+		cost[x] = make([]int64, m)
+		for y := range cost[x] {
+			if x != y {
+				cost[x][y] = rng.Int63n(7)
+			}
+		}
+	}
+	p.Topology.Cost = cost
+}
+
+// randomTableInstance draws the instance shapes the table tests sweep:
+// dense Bernoulli or sparse AvgDegree wiring, optional linear term, timing
+// bounds (which add weight-0 timing-only arcs) and sometimes an asymmetric
+// cost matrix.
+func randomTableInstance(rng *rand.Rand, trial, maxN int) (*model.Problem, model.Assignment) {
+	cfg := testgen.Config{N: 2 + rng.Intn(maxN-1), WithLinear: trial%2 == 0, TimingProb: 0.3}
+	if trial%3 != 0 {
+		cfg.AvgDegree = 1 + 7*rng.Float64()
+	}
+	if trial%5 == 4 {
+		cfg.GridRows, cfg.GridCols = 3, 3
+	}
+	p, golden := testgen.Random(rng, cfg)
+	if trial%4 == 1 {
+		skewCosts(rng, p)
+	}
+	return p, golden
+}
+
+// Property test: after every Apply/ApplySwap of a random sequence, the
+// incrementally maintained state equals a fresh table built on the current
+// assignment (a wrong neighbor-row shift shows up at the step that made
+// it). SwapDelta calls for random j1 are interleaved, so the pinned
+// pair-weight row is re-scattered between mutations and each result is
+// checked against the objective difference.
 func TestIncrementalConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		cfg := testgen.Config{N: 5 + rng.Intn(6), WithLinear: trial%2 == 0}
-		p, golden := testgen.Random(rng, cfg)
+	for trial := 0; trial < 30; trial++ {
+		p, golden := randomTableInstance(rng, trial, 200)
 		tb := newTable(t, p, golden)
-		norm := p.Normalized()
-		for step := 0; step < 60; step++ {
+		n := p.N()
+		for step := 0; step < 40; step++ {
+			what := fmt.Sprintf("trial %d step %d", trial, step)
 			if rng.Intn(2) == 0 {
-				j := rng.Intn(p.N())
-				to := rng.Intn(p.M())
-				tb.Apply(j, to)
-			} else {
-				j1, j2 := rng.Intn(p.N()), rng.Intn(p.N())
-				if j1 != j2 {
-					tb.ApplySwap(j1, j2)
+				tb.Apply(rng.Intn(n), rng.Intn(p.M()))
+			} else if j1, j2 := rng.Intn(n), rng.Intn(n); j1 != j2 {
+				tb.ApplySwap(j1, j2)
+			}
+			checkFresh(t, tb, p, what)
+			for k := 0; k < 3; k++ {
+				checkSwapDelta(t, tb, p, rng.Intn(n), rng.Intn(n), what)
+			}
+		}
+	}
+}
+
+// FuzzTableOps drives a table through an arbitrary sequence of moves,
+// swaps and swap-delta probes, comparing it with a fresh table after every
+// mutation.
+func FuzzTableOps(f *testing.F) {
+	f.Add(int64(1), []byte{0, 3, 1, 7, 2, 9, 4, 4, 1, 0, 5, 2})
+	f.Add(int64(2), []byte{1, 0, 1, 0, 1, 2, 2, 1, 0, 0})
+	f.Add(int64(7), []byte{2, 5, 6, 0, 7, 7, 1, 1, 3, 8, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		p, golden := randomTableInstance(rng, int(uint64(seed)%60), 40)
+		tb := newTable(t, p, golden)
+		n, m := p.N(), p.M()
+		for k := 0; k+2 < len(ops) && k < 120; k += 3 {
+			a, b := int(ops[k+1])%n, int(ops[k+2])
+			what := fmt.Sprintf("op %d", k/3)
+			switch ops[k] % 3 {
+			case 0:
+				tb.Apply(a, b%m)
+				checkFresh(t, tb, p, what)
+			case 1:
+				if b %= n; a != b {
+					tb.ApplySwap(a, b)
+					checkFresh(t, tb, p, what)
 				}
+			default:
+				checkSwapDelta(t, tb, p, a, b%n, what)
 			}
 		}
-		a := tb.Assignment()
-		if got, want := tb.Objective(), norm.Objective(a); got != want {
-			t.Fatalf("trial %d: objective %d != recomputed %d", trial, got, want)
-		}
-		loads := norm.Loads(a)
-		for i := range loads {
-			if tb.Load(i) != loads[i] {
-				t.Fatalf("trial %d: load[%d] %d != %d", trial, i, tb.Load(i), loads[i])
-			}
-		}
-		for j := 0; j < p.N(); j++ {
-			if tb.Partition(j) != a[j] {
-				t.Fatalf("trial %d: Partition(%d) inconsistent", trial, j)
-			}
-			for to := 0; to < p.M(); to++ {
-				b := a.Clone()
-				b[j] = to
-				want := norm.Objective(b) - norm.Objective(a)
-				if got := tb.Delta(j, to); got != want {
-					t.Fatalf("trial %d: Delta(%d,%d) = %d, want %d", trial, j, to, got, want)
-				}
-			}
+	})
+}
+
+// The move and swap paths, and the swap-delta probe that re-pins its
+// pair-weight row, run without allocating.
+func TestHotPathsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p, golden := testgen.Random(rng, testgen.Config{N: 300, AvgDegree: 8, GridRows: 4, GridCols: 4, WithLinear: true})
+	tb := newTable(t, p, golden)
+	n, m := p.N(), p.M()
+	for name, op := range map[string]func(){
+		"Apply":     func() { tb.Apply(rng.Intn(n), rng.Intn(m)) },
+		"ApplySwap": func() { tb.ApplySwap(rng.Intn(n), rng.Intn(n)) },
+		"SwapDelta": func() { tb.SwapDelta(rng.Intn(n), rng.Intn(n)) },
+	} {
+		if a := testing.AllocsPerRun(200, op); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, a)
 		}
 	}
 }

@@ -46,6 +46,17 @@ func BenchmarkGAPSolve(b *testing.B) {
 			}
 		})
 	}
+	// A coarse-level-sized STEP 4 subproblem (M=16), refined to swap
+	// convergence: the case the swap sweep's bin bounds are for.
+	big := sparseEtaInstance(rng, 16, 2000, 8)
+	b.Run(fmt.Sprintf("eta/deg=8/n=%d", big.N()), func(b *testing.B) {
+		b.ReportAllocs()
+		for k := 0; k < b.N; k++ {
+			if _, _, ok := Solve(context.Background(), big, Options{Refine: RefineSwap}); !ok {
+				b.Fatal("infeasible")
+			}
+		}
+	})
 }
 
 // sparseEtaInstance mimics the STEP 4 subproblem of an average-degree-deg

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/interrupt"
@@ -431,87 +432,25 @@ func refine[T number](v *view[T], assign []int, opt Options, ck *interrupt.Check
 	if opt.Refine == RefineNone {
 		return
 	}
-	m, n := v.m, v.n()
-	remaining := append([]int64(nil), v.caps...)
-	for j, i := range assign {
-		remaining[i] -= v.sizes[j]
-	}
-	// One sweep of single-item relocations; cheap (O(N·M)), so it always
-	// runs to convergence inside each outer pass.
-	shiftSweep := func() bool {
-		improved := false
-		for j := 0; j < n; j++ {
-			cur := assign[j]
-			sz := v.sizes[j]
-			col := v.col(j)
-			bestI, bestC := cur, col[cur]
-			for i := 0; i < m; i++ {
-				if i == cur || remaining[i] < sz {
-					continue
-				}
-				if c := col[i]; c < bestC {
-					bestI, bestC = i, c
-				}
-			}
-			if bestI != cur {
-				assign[j] = bestI
-				remaining[cur] += sz
-				remaining[bestI] -= sz
-				improved = true
-			}
-		}
-		return improved
-	}
-	swapSweep := func() bool {
-		improved := false
-		for j1 := 0; j1 < n; j1++ {
-			i1 := assign[j1]
-			s1 := v.sizes[j1]
-			col1 := v.col(j1)
-			for j2 := j1 + 1; j2 < n; j2++ {
-				i2 := assign[j2]
-				if i1 == i2 {
-					continue
-				}
-				s2 := v.sizes[j2]
-				if remaining[i1]+s1 < s2 || remaining[i2]+s2 < s1 {
-					continue
-				}
-				col2 := v.col(j2)
-				delta := col1[i2] + col2[i1] - col1[i1] - col2[i2]
-				if float64(delta) < -1e-12 {
-					assign[j1], assign[j2] = i2, i1
-					remaining[i1] += s1 - s2
-					remaining[i2] += s2 - s1
-					i1 = assign[j1]
-					s1 = v.sizes[j1]
-					improved = true
-				}
-			}
-		}
-		return improved
-	}
-	// MaxRefinePasses caps only the expensive sweeps (swap O(N²), eject as
-	// a last resort): each outer pass first drains all shift moves.
+	r := newRefiner(v, assign)
+	// MaxRefinePasses caps only the expensive sweeps (swap, eject as a last
+	// resort): each outer pass first drains all shift moves.
 	for pass := 0; pass < passes; pass++ {
 		if ck.Now() {
 			return
 		}
 		for k := 0; k < 200; k++ {
-			if !shiftSweep() || ck.Now() {
+			if !r.shiftSweep() || ck.Now() {
 				break
 			}
 		}
 		if opt.Refine < RefineSwap || ck.Now() {
 			return
 		}
-		improved := swapSweep()
+		improved := r.swapSweep()
 		// Ejection is the expensive last resort: only scan for depth-2
-		// chains once shifts and swaps have dried up — at most once per
-		// refine pass, so its transient members index is noise next to the
-		// O(N·M²) chain scan it fronts.
-		//lint:ignore alloc-in-hot-loop eject runs at most once per refine pass; its scan dominates the transient members index
-		if !improved && eject(v, assign, remaining) {
+		// chains once shifts and swaps have dried up.
+		if !improved && r.eject() {
 			improved = true
 		}
 		if !improved {
@@ -520,14 +459,183 @@ func refine[T number](v *view[T], assign []int, opt Options, ck *interrupt.Check
 	}
 }
 
+// refiner is the working state of one refine call, allocated once per call.
+type refiner[T number] struct {
+	v         *view[T]
+	assign    []int
+	remaining []int64
+	// members indexes assign by bin. The swap sweep rebuilds it on entry
+	// (shift sweeps do not maintain it) and keeps it exact through its
+	// swaps; eject, which only runs right after a swap sweep, reuses it.
+	members *bitset.Membership
+	// low[b·M+a] is a lower bound on col(j)[a] − col(j)[b] over the items j
+	// in bin b: exact at the start of each swap sweep, then lowered (never
+	// raised) as items arrive in b, so departures leave it stale-low.
+	low  []T
+	open []int // the bins the current j1 may still improve against
+	// skip is the threshold above which a bin's lower bound proves that no
+	// pair with it passes the improvement test (delta < −1e-12): −1e-12
+	// plus a rounding slack of 2⁻⁴⁶·max|c|, or +∞ (nothing is skipped)
+	// when max|c| ≥ 2⁶¹.
+	skip float64
+}
+
+func newRefiner[T number](v *view[T], assign []int) *refiner[T] {
+	m := v.m
+	r := &refiner[T]{
+		v:         v,
+		assign:    assign,
+		remaining: append([]int64(nil), v.caps...),
+		members:   bitset.NewMembership(m, v.n()),
+		low:       make([]T, m*m),
+		open:      make([]int, 0, m),
+	}
+	for j, i := range assign {
+		r.remaining[i] -= v.sizes[j]
+	}
+	var maxAbs float64
+	for _, c := range v.flat {
+		maxAbs = math.Max(maxAbs, math.Abs(float64(c)))
+	}
+	r.skip = math.Inf(1)
+	if maxAbs < 0x1p61 {
+		r.skip = -1e-12 + maxAbs*0x1p-46
+	}
+	return r
+}
+
+// shiftSweep is one sweep of single-item relocations; cheap (O(N·M)), so it
+// always runs to convergence inside each outer pass.
+func (r *refiner[T]) shiftSweep() bool {
+	v, assign, remaining := r.v, r.assign, r.remaining
+	improved := false
+	for j := 0; j < v.n(); j++ {
+		cur := assign[j]
+		sz := v.sizes[j]
+		col := v.col(j)
+		bestI, bestC := cur, col[cur]
+		for i := 0; i < v.m; i++ {
+			if i == cur || remaining[i] < sz {
+				continue
+			}
+			if c := col[i]; c < bestC {
+				bestI, bestC = i, c
+			}
+		}
+		if bestI != cur {
+			assign[j] = bestI
+			remaining[cur] += sz
+			remaining[bestI] -= sz
+			improved = true
+		}
+	}
+	return improved
+}
+
+// lowRow returns the bounds of bin b's items against every target bin.
+func (r *refiner[T]) lowRow(b int) []T { return r.low[b*r.v.m : (b+1)*r.v.m] }
+
+// arrive lowers bin b's bounds by item j's cost differences.
+func (r *refiner[T]) arrive(j, b int) {
+	col, low := r.v.col(j), r.lowRow(b)
+	for a, c := range col {
+		low[a] = min(low[a], c-col[b])
+	}
+}
+
+// openBins collects the bins b ≠ a whose bound leaves room for an item in
+// a, with cost column col1, to improve by swapping with one of b's items:
+// a pair's delta is col1[b] − col1[a] + (col2[a] − col2[b]), and the
+// bracket is at least low[b·M+a].
+func (r *refiner[T]) openBins(a int, col1 []T) {
+	r.open = r.open[:0]
+	for b := 0; b < r.v.m; b++ {
+		if b != a && !(float64(col1[b]-col1[a]+r.lowRow(b)[a]) > r.skip) {
+			r.open = append(r.open, b)
+		}
+	}
+}
+
+// swapSweep is one sweep of pairwise exchanges in ascending (j1, j2) order,
+// each applied as soon as it improves. For each j1 it visits only the items
+// of the bins openBins leaves open, in ascending j2 through their
+// membership words, and runs the exact test on each; the skipped items
+// cannot pass it, so the sweep applies the same swaps in the same order as
+// the plain O(N²) pair loop.
+func (r *refiner[T]) swapSweep() bool {
+	v, assign, remaining := r.v, r.assign, r.remaining
+	n := v.n()
+	r.members.Build(assign)
+	for b := 0; b < v.m; b++ {
+		low := r.lowRow(b)
+		if j := r.members.Part(b).NextSet(0); j < n {
+			col := v.col(j)
+			for a, c := range col {
+				low[a] = c - col[b]
+			}
+		} else {
+			clear(low) // any value bounds an empty bin; arrivals lower it
+		}
+	}
+	for j, b := range assign {
+		r.arrive(j, b)
+	}
+	improved := false
+	nw := len(r.members.Part(0).Words())
+	for j1 := 0; j1 < n; j1++ {
+		i1 := assign[j1]
+		s1 := v.sizes[j1]
+		col1 := v.col(j1)
+		r.openBins(i1, col1)
+		for w := (j1 + 1) >> 6; w < nw && len(r.open) > 0; w++ {
+			for word := r.openWord(w, j1+1); word != 0; {
+				j2 := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				i2 := assign[j2]
+				s2 := v.sizes[j2]
+				col2 := v.col(j2)
+				if remaining[i1]+s1 < s2 || remaining[i2]+s2 < s1 ||
+					!(float64(col1[i2]+col2[i1]-col1[i1]-col2[i2]) < -1e-12) { // NaN fails too
+					continue
+				}
+				assign[j1], assign[j2] = i2, i1
+				remaining[i1] += s1 - s2
+				remaining[i2] += s2 - s1
+				r.members.Move(j1, i1, i2)
+				r.members.Move(j2, i2, i1)
+				r.arrive(j1, i2)
+				r.arrive(j2, i1)
+				i1 = i2
+				r.openBins(i1, col1)
+				word = r.openWord(w, j2+1)
+				improved = true
+			}
+		}
+	}
+	return improved
+}
+
+// openWord returns membership word w of the open bins, masked to the items
+// ≥ from.
+func (r *refiner[T]) openWord(w, from int) uint64 {
+	var word uint64
+	for _, b := range r.open {
+		word |= r.members.Part(b).Words()[w]
+	}
+	if lo := w << 6; from > lo {
+		word &= ^uint64(0) << uint(from-lo) // a shift of 64 clears the word
+	}
+	return word
+}
+
 // eject performs depth-2 shifts: move item j into bin i after evicting one
 // item k from i to a third bin, when the combined cost delta is negative.
 // This escapes local optima that single shifts and pairwise swaps cannot
-// (three-way rotations). Returns whether any move was applied.
-func eject[T number](v *view[T], assign []int, remaining []int64) bool {
+// (three-way rotations). Returns whether any move was applied. It runs
+// right after a swap sweep and reuses that sweep's membership index.
+func (r *refiner[T]) eject() bool {
+	v, assign, remaining, members := r.v, r.assign, r.remaining, r.members
 	m, n := v.m, v.n()
-	members := bitset.NewMembership(m, n)
-	members.Build(assign)
 	moved := false
 	for j := 0; j < n; j++ {
 		s := assign[j]

@@ -88,7 +88,7 @@ func TestFixtures(t *testing.T) {
 		{"maporder_neg", nil},
 		{"maporder_suppress", nil},
 		{"maporder_entropy", []string{"map-order-leak:12", "map-order-leak:18", "unseeded-rand:18"}},
-		{"lockbal_pos", []string{"lock-balance:15", "lock-balance:29"}},
+		{"lockbal_pos", []string{"lock-balance:15", "lock-balance:29", "lock-balance:38"}},
 		{"lockbal_neg", nil},
 		{"lockbal_suppress", nil},
 		{"flatbounds_pos", []string{"flat-bounds:10", "flat-bounds:15", "flat-bounds:22"}},
@@ -96,7 +96,7 @@ func TestFixtures(t *testing.T) {
 		{"flatbounds_suppress", nil},
 		// The p_test.go finding proves typed analyzers reach test files via
 		// the loader's combined check (satellite: test type-checking).
-		{"shadowerr_pos", []string{"shadow-err:21", "shadow-err:38", "shadow-err:8"}},
+		{"shadowerr_pos", []string{"shadow-err:21", "shadow-err:38", "shadow-err:56", "shadow-err:8"}},
 		{"shadowerr_neg", nil},
 		{"shadowerr_suppress", nil},
 		// Interprocedural analyzers: call graph + summaries (PR 6).

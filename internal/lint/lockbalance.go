@@ -48,11 +48,15 @@ const (
 )
 
 // lockFact is the dataflow fact: the state of each lock key plus the locks
-// for which a deferred release is registered on every path reaching here.
+// for which a deferred release is registered on every path reaching here,
+// and those for which one is registered on every path that may hold them.
+// The second set is what the exit check needs: a path that never acquired
+// the lock (a nil guard's early return) needs no deferred release.
 type lockFact struct {
 	state    map[string]lockState
 	pos      map[string]token.Pos // earliest acquire site while held/maybe
 	deferred map[string]bool      // must-analysis: deferred Unlock registered
+	covered  map[string]bool      // deferred Unlock on every path holding the lock
 }
 
 func newLockFact() lockFact {
@@ -60,7 +64,15 @@ func newLockFact() lockFact {
 		state:    map[string]lockState{},
 		pos:      map[string]token.Pos{},
 		deferred: map[string]bool{},
+		covered:  map[string]bool{},
 	}
+}
+
+// coveredOn reports whether f's paths that may hold k all registered a
+// deferred release (vacuously true when none holds it).
+func (f lockFact) coveredOn(k string) bool {
+	st := f.state[k]
+	return f.covered[k] || (st != lockHeld && st != lockMaybe)
 }
 
 func (f lockFact) clone() lockFact {
@@ -73,6 +85,9 @@ func (f lockFact) clone() lockFact {
 	}
 	for k := range f.deferred {
 		c.deferred[k] = true
+	}
+	for k := range f.covered {
+		c.covered[k] = true
 	}
 	return c
 }
@@ -110,6 +125,9 @@ func (p lockProblem) Join(a, b lockFact) lockFact {
 		default: // unknown vs released: the release is no longer proven
 			j.state[k] = lockUnknown
 		}
+		if a.coveredOn(k) && b.coveredOn(k) {
+			j.covered[k] = true
+		}
 		pa, pb := a.pos[k], b.pos[k]
 		switch {
 		case pa != token.NoPos && pb != token.NoPos:
@@ -130,7 +148,8 @@ func (p lockProblem) Join(a, b lockFact) lockFact {
 }
 
 func (p lockProblem) Equal(a, b lockFact) bool {
-	if len(a.state) != len(b.state) || len(a.pos) != len(b.pos) || len(a.deferred) != len(b.deferred) {
+	if len(a.state) != len(b.state) || len(a.pos) != len(b.pos) ||
+		len(a.deferred) != len(b.deferred) || len(a.covered) != len(b.covered) {
 		return false
 	}
 	for k, v := range a.state {
@@ -145,6 +164,11 @@ func (p lockProblem) Equal(a, b lockFact) bool {
 	}
 	for k := range a.deferred {
 		if !b.deferred[k] {
+			return false
+		}
+	}
+	for k := range a.covered {
+		if !b.covered[k] {
 			return false
 		}
 	}
@@ -183,7 +207,7 @@ func analyzeLockBalance(p *Pass, info *types.Info, body *ast.BlockStmt) {
 	}
 
 	// Exit check: any lock held (or maybe held) at exit without a deferred
-	// release leaks out of the function.
+	// release on every path holding it leaks out of the function.
 	exit, ok := in[g.Exit]
 	if !ok {
 		return
@@ -195,7 +219,7 @@ func analyzeLockBalance(p *Pass, info *types.Info, body *ast.BlockStmt) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		st := exit.state[k]
-		if (st != lockHeld && st != lockMaybe) || exit.deferred[k] {
+		if exit.coveredOn(k) {
 			continue
 		}
 		pos := exit.pos[k]
@@ -222,6 +246,12 @@ func (lb *lockInterp) step(f lockFact, n ast.Node, p *Pass) lockFact {
 		out := f.clone()
 		if delta > 0 {
 			out.state[key] = lockHeld
+			// Only a release deferred on every path covers this acquire.
+			if out.deferred[key] {
+				out.covered[key] = true
+			} else {
+				delete(out.covered, key)
+			}
 			if cur, have := out.pos[key]; !have || pos < cur {
 				out.pos[key] = pos
 			}
@@ -241,6 +271,7 @@ func (lb *lockInterp) step(f lockFact, n ast.Node, p *Pass) lockFact {
 		out := f.clone()
 		for _, k := range keys {
 			out.deferred[k] = true
+			out.covered[k] = true
 		}
 		return out
 	}

@@ -14,6 +14,12 @@ import (
 // the loader's combined type-check): table-driven tests redefine err in
 // nested blocks constantly and are where this bug hides best.
 //
+// "Read again" follows control flow: a read counts only when a path runs
+// from the shadowing statement to it without writing the outer variable
+// first. So a later `x, err := g()` (a write, not a read) followed by its
+// own check is clean, and so is a check on a sibling branch the shadowing
+// block never falls into.
+//
 // Shadows introduced in an if/for/switch init clause
 // (`if err := f(); err != nil`) are exempt: there the declaration is
 // syntactically bound to its own check, which is the idiom Go recommends
@@ -31,19 +37,21 @@ func runShadowErr(p *Pass) {
 	info := p.Info()
 	errType := types.Universe.Lookup("error").Type()
 
-	// Index every read/write reference per variable object.
-	usePos := make(map[types.Object][]token.Pos)
-	for id, obj := range info.Uses {
-		if _, isVar := obj.(*types.Var); isVar {
-			usePos[obj] = append(usePos[obj], id.Pos())
-		}
-	}
-
+	// Collect the identifiers written by = or := (they are not reads) and
+	// the init-clause assignments, whose shadows are idiomatic.
+	written := make(map[*ast.Ident]bool)
+	initStmts := make(map[ast.Stmt]bool)
 	for _, f := range p.Files() {
-		// Collect init-clause assignments: those shadows are idiomatic.
-		initStmts := make(map[ast.Stmt]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
+			case *ast.AssignStmt:
+				if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
+					for _, lhs := range s.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok {
+							written[id] = true
+						}
+					}
+				}
 			case *ast.IfStmt:
 				initStmts[s.Init] = true
 			case *ast.ForStmt:
@@ -55,7 +63,18 @@ func runShadowErr(p *Pass) {
 			}
 			return true
 		})
-		ast.Inspect(f, func(n ast.Node) bool {
+	}
+
+	// Index every read reference per variable object.
+	readPos := make(map[types.Object][]token.Pos)
+	for id, obj := range info.Uses {
+		if _, isVar := obj.(*types.Var); isVar && !written[id] {
+			readPos[obj] = append(readPos[obj], id.Pos())
+		}
+	}
+
+	forEachFuncBody(p, func(body *ast.BlockStmt) {
+		inspectShallow(body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || as.Tok != token.DEFINE || initStmts[as] {
 				return true
@@ -83,21 +102,98 @@ func runShadowErr(p *Pass) {
 				// inner binding's scope has ended; reads before (or none)
 				// cannot observe stale state.
 				scopeEnd := inner.Parent().End()
-				staleRead := false
-				for _, pos := range usePos[outer] {
+				var late []token.Pos
+				for _, pos := range readPos[outer] {
 					if pos >= scopeEnd {
-						staleRead = true
-						break
+						late = append(late, pos)
 					}
 				}
-				if !staleRead {
+				if len(late) == 0 || !staleReadReachable(p, info, body, as, outer, late) {
 					continue
 				}
 				p.Reportf(id.Pos(), "%s := shadows %s from an enclosing scope; the check after this block reads the outer (stale) value", id.Name, id.Name)
 			}
 			return true
 		})
+	})
+}
+
+// staleReadReachable reports whether one of the late reads of outer can
+// run after the shadowing statement as with no write of outer in between.
+// A read on a sibling branch never follows the shadow, and a read after
+// `x, err := g()` sees g's error, not a stale one; both are cleared here.
+// When outer belongs to an enclosing function (the shadow sits in a
+// closure), the positional verdict stands.
+func staleReadReachable(p *Pass, info *types.Info, body *ast.BlockStmt, as *ast.AssignStmt, outer *types.Var, late []token.Pos) bool {
+	if outer.Pos() < body.Pos() || outer.Pos() >= body.End() {
+		return true
 	}
+	reads := func(n ast.Node) bool {
+		lo, hi := n.Pos(), n.End()
+		if r, ok := n.(*ast.RangeStmt); ok {
+			lo, hi = r.X.Pos(), r.X.End() // the range head evaluates only X
+		}
+		for _, pos := range late {
+			if pos >= lo && pos < hi {
+				return true
+			}
+		}
+		return false
+	}
+	writes := func(n ast.Node) bool {
+		w, ok := n.(*ast.AssignStmt)
+		if !ok || (w.Tok != token.ASSIGN && w.Tok != token.DEFINE) {
+			return false
+		}
+		for _, lhs := range w.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok && info.Uses[id] == types.Object(outer) {
+				return true
+			}
+		}
+		return false
+	}
+	g := p.Pkg.CFG(body)
+	var start *Block
+	from := 0
+	for _, b := range g.Blocks {
+		for i, n := range b.Nodes {
+			if n == ast.Node(as) {
+				start, from = b, i+1
+			}
+		}
+	}
+	if start == nil {
+		return true
+	}
+	// Forward search from just after the shadow; a write of outer ends a
+	// path, a read of it is the stale read.
+	seen := make(map[*Block]bool)
+	queue := []*Block{start}
+	for len(queue) > 0 {
+		b := queue[0]
+		queue = queue[1:]
+		killed := false
+		for _, n := range b.Nodes[from:] {
+			if reads(n) {
+				return true
+			}
+			if writes(n) {
+				killed = true
+				break
+			}
+		}
+		from = 0
+		if killed {
+			continue
+		}
+		for _, s := range b.Succs {
+			if !seen[s] {
+				seen[s] = true
+				queue = append(queue, s)
+			}
+		}
+	}
+	return false
 }
 
 // shadowedVar finds the variable named name in a scope strictly enclosing

@@ -55,3 +55,22 @@ func (c *Counter) Branchy(hi bool) int {
 	c.mu.Unlock()
 	return 0
 }
+
+// Tracer is a nil-safe recorder: a nil *Tracer records nothing.
+type Tracer struct {
+	mu    sync.Mutex
+	spans []int
+}
+
+// Add returns early on a nil receiver before the lock is taken; the
+// locked path defers its release. The early-return path never held the
+// lock, so it needs no deferred release of its own.
+func (t *Tracer) Add(span int) int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.spans = append(t.spans, span)
+	return len(t.spans)
+}

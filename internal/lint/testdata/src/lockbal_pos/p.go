@@ -28,3 +28,16 @@ func (r *Registry) Reset() {
 	r.mu.Unlock()
 	r.mu.Unlock()
 }
+
+// Bump has the same nil guard as a nil-safe method, but defers the
+// release only when verbose: the quiet path leaks the lock.
+func (r *Registry) Bump(key string, verbose bool) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if verbose {
+		defer r.mu.Unlock()
+	}
+	r.items[key]++
+}

@@ -76,3 +76,54 @@ func Fresh(a int) int {
 	}
 	return 0
 }
+
+// Rebound shadows err inside a loop, then rebinds the outer err with a
+// fresh `x, err :=` before checking it: the check reads the new value.
+func Rebound(xs []int) (int, error) {
+	total, err := check(0)
+	if err != nil {
+		return 0, err
+	}
+	for _, x := range xs {
+		v, err := check(x)
+		if err != nil {
+			return 0, err
+		}
+		total += v
+	}
+	last, err := check(total)
+	if err != nil {
+		return 0, err
+	}
+	return last, nil
+}
+
+// Branches shadows err in one arm of an if/else. The other arm's check
+// never runs after the shadow, and the final return follows a write of err
+// on every path.
+func Branches(fast bool, a int) (int, error) {
+	n, err := check(a)
+	if err != nil {
+		return 0, err
+	}
+	if fast {
+		m, err := check(a + 2)
+		if err != nil {
+			return 0, err
+		}
+		n += m
+	} else {
+		run(func() { n, err = check(n) })
+		if err != nil {
+			return 0, err
+		}
+	}
+	if n > 4 {
+		_, err = check(n)
+	} else {
+		_, err = check(-n)
+	}
+	return n, err
+}
+
+func run(f func()) { f() }

@@ -47,3 +47,23 @@ func parse2(s string) error {
 	_, err := parse(s + s)
 	return err
 }
+
+// Partial rewrites the outer err on one path only; the other path's check
+// still reads the value the shadowed parse left behind.
+func Partial(a, b string) (int, error) {
+	n, err := parse(a)
+	if b != "" {
+		m, err := parse(b)
+		if err != nil {
+			m = 0
+		}
+		n += m
+	}
+	if n > 3 {
+		_, err = parse(a + b)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}

@@ -10,7 +10,6 @@ package sparsemat
 import (
 	"repro/internal/adjacency"
 	"repro/internal/flatmat"
-	"repro/internal/model"
 )
 
 // UnconstrainedClass marks arcs without a finite timing bound; it matches
@@ -81,40 +80,4 @@ func (c *CSR) Density() float64 {
 		return 0
 	}
 	return float64(c.NNZ()) / (float64(c.N) * float64(c.N-1))
-}
-
-// WireWeight returns the aggregated wire weight between j1 and j2 (0 when
-// uncoupled), by binary search over j1's ascending partner row.
-func (c *CSR) WireWeight(j1, j2 int) int64 {
-	if k := c.find(j1, j2); k >= 0 {
-		return c.Weight[k]
-	}
-	return 0
-}
-
-// PairMaxDelay returns the tightest timing bound between j1 and j2
-// (model.Unconstrained when the pair carries none).
-func (c *CSR) PairMaxDelay(j1, j2 int) int64 {
-	if k := c.find(j1, j2); k >= 0 {
-		return c.MaxDelay[k]
-	}
-	return model.Unconstrained
-}
-
-// find locates the arc (j1, j2) in j1's row, -1 when absent.
-func (c *CSR) find(j1, j2 int) int {
-	lo, hi := c.Row(j1)
-	t := int32(j2)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.Col[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < int(c.RowPtr[j1+1]) && c.Col[lo] == t {
-		return lo
-	}
-	return -1
 }

@@ -76,22 +76,6 @@ func TestNilClassesMarkEverythingUnconstrained(t *testing.T) {
 	}
 }
 
-func TestPairLookups(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	l := adjacency.Build(randomCircuit(rng, 30, 4))
-	c := FromLists(l, nil)
-	for j1 := 0; j1 < c.N; j1++ {
-		for j2 := 0; j2 < c.N; j2++ {
-			if got, want := c.WireWeight(j1, j2), l.WireWeight(j1, j2); got != want {
-				t.Fatalf("WireWeight(%d,%d) = %d, want %d", j1, j2, got, want)
-			}
-			if got, want := c.PairMaxDelay(j1, j2), l.MaxDelay(j1, j2); got != want {
-				t.Fatalf("PairMaxDelay(%d,%d) = %d, want %d", j1, j2, got, want)
-			}
-		}
-	}
-}
-
 func TestDensity(t *testing.T) {
 	empty := FromLists(adjacency.Build(&model.Circuit{Name: "e", Sizes: []int64{1}}), nil)
 	if empty.Density() != 0 {
