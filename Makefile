@@ -15,12 +15,13 @@ test-race:
 
 # Perf artifact: the paper tables/ablations (one full solve per op), the
 # multilevel V-cycle sweep, plus the kernel micro-benchmarks (the CSR
-# density sweeps, the GAP solve sweep, the gain-table move and swap scan,
-# the bit-packed membership kernels, and the text-vs-binary serializers),
-# 6 repetitions each, folded into BENCH_PR17.json (ns/op, allocs/op, and
-# the finalWL quality metric per instance).
-BENCHJSON ?= BENCH_PR17.json
-BENCH_MICRO = ComputeEta|PenalizedValue|GAPSolve|EtaIncrementalSweep|GainsApply|SwapScan|BitsetMembership|BinaryReadWrite
+# density sweeps, the in-loop polish, the GAP solve sweep, the gain-table
+# move and swap scan, the bit-packed membership kernels, and the
+# text-vs-binary serializers), 6 repetitions each, folded into
+# BENCH_PR19.json (ns/op, allocs/op, and the finalWL quality metric per
+# instance).
+BENCHJSON ?= BENCH_PR19.json
+BENCH_MICRO = ComputeEta|PenalizedValue|Polish|GAPSolve|EtaIncrementalSweep|GainsApply|SwapScan|BitsetMembership|BinaryReadWrite
 
 bench:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

@@ -19,8 +19,21 @@
 //	PenAdd[i2] = 0 where feasible, penalty where violating
 //
 // so the effective row is weight·MaskB + PenAdd: a bound-check-free fused
-// loop over contiguous memory, the shape both the η accumulation (STEP 3)
-// and the exact move evaluators (polish) reduce to.
+// loop over contiguous memory, the shape the η accumulation (STEP 3)
+// reduces to.
+//
+// A move evaluator needs both directions of an arc at once: relocating
+// component j against a partner on partition o changes q̂(to,o) + q̂(o,to).
+// Kernel therefore also holds symmetrized *pair rows*, per (class, o),
+//
+//	PairMask[to] = MaskB(to)[o] + MaskB(o)[to]
+//	PairPen[to]  = PenAdd(to)[o] + PenAdd(o)[to]
+//
+// (b[to][o] + b[o][to] for unconstrained arcs), so the both-direction cost
+// of one arc over every target is again one fused weight·PairMask + PairPen
+// pass. int64 arithmetic wraps mod 2⁶⁴, where w·(a+b) = w·a + w·b, so this
+// equals the sum of the two Entry values bit for bit even when a penalty
+// near the int64 range overflows.
 package flatmat
 
 // Matrix is a row-major flat int64 matrix. Rows are contiguous length-Stride
@@ -77,6 +90,12 @@ type Kernel struct {
 	// (class c, partition i1) starts at rowStart(c, i1).
 	maskB  Matrix
 	penAdd Matrix
+	// pairB (M rows) and pairMask/pairPen (classes×M rows) are the
+	// symmetrized pair rows; the row for (class c, partner partition o)
+	// starts at rowStart(c, o) like the effective rows.
+	pairB    Matrix
+	pairMask Matrix
+	pairPen  Matrix
 }
 
 // NewKernel precomputes the effective rows for every delay class in
@@ -106,7 +125,26 @@ func NewKernel(b, d Matrix, delayBounds []int64, penalty int64) *Kernel {
 			}
 		}
 	}
+	k.pairB = symmetrize(b, m)
+	k.pairMask = symmetrize(k.maskB, m)
+	k.pairPen = symmetrize(k.penAdd, m)
 	return k
+}
+
+// symmetrize returns the pair rows of a stack of M×M blocks: in each block,
+// row o of the result is column o plus row o of the input.
+func symmetrize(src Matrix, m int) Matrix {
+	dst := Matrix{Stride: m, V: make([]int64, len(src.V))}
+	for base := 0; base < src.Rows(); base += m {
+		for o := 0; o < m; o++ {
+			row := dst.Row(base + o)
+			srow := src.Row(base + o)
+			for to := range row {
+				row[to] = src.At(base+to, o) + srow[to]
+			}
+		}
+	}
+	return dst
 }
 
 // M returns the partition count the kernel was built for.
@@ -130,6 +168,17 @@ func (k *Kernel) BRow(i1 int) []int64 { return k.b.Row(i1) }
 // the unconstrained-class branch of Rows. Small enough to inline.
 func (k *Kernel) ClassRows(class, i1 int) (mask, pen []int64) {
 	return k.maskB.Row(class*k.m + i1), k.penAdd.Row(class*k.m + i1)
+}
+
+// PairBRow returns the pair row of unconstrained arcs against a partner on
+// partition o: b[to][o] + b[o][to] over targets to.
+func (k *Kernel) PairBRow(o int) []int64 { return k.pairB.Row(o) }
+
+// PairClassRows returns the (mask, pen) pair rows of a finite delay class
+// against a partner on partition o, so that w·mask[to] + pen[to] equals
+// Entry(class, to, o, w) + Entry(class, o, to, w). Small enough to inline.
+func (k *Kernel) PairClassRows(class, o int) (mask, pen []int64) {
+	return k.pairMask.Row(class*k.m + o), k.pairPen.Row(class*k.m + o)
 }
 
 // Entry returns the single Q̂ entry of an arc with weight w in delay class

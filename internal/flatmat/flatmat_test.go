@@ -92,6 +92,59 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPairRowsMatchEntries pins the pair-row identity w·PairMask[to] +
+// PairPen[to] = Entry(c,to,o,w) + Entry(c,o,to,w) for every class, o and
+// to, with weights, costs and penalties large enough that the products and
+// sums wrap: the identity must hold modulo 2⁶⁴, not just in range.
+func TestPairRowsMatchEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 40; trial++ {
+		m := 1 + rng.Intn(9)
+		b := make([][]int64, m)
+		d := make([][]int64, m)
+		for i := range b {
+			b[i] = make([]int64, m)
+			d[i] = make([]int64, m)
+			for j := range b[i] {
+				b[i][j] = int64(rng.Intn(20))
+				if trial%2 == 1 {
+					b[i][j] = rng.Int63() - rng.Int63()
+				}
+				d[i][j] = int64(rng.Intn(10))
+			}
+		}
+		bounds := []int64{0, 3, 7}
+		if trial%4 == 3 {
+			bounds = nil // the relaxed configuration: unconstrained rows only
+		}
+		penalty := int64(1)<<62 + rng.Int63n(1<<61)
+		k := NewKernel(FromRows(b), FromRows(d), bounds, penalty)
+		classes := []int{UnconstrainedClass}
+		for c := range bounds {
+			classes = append(classes, c)
+		}
+		for _, class := range classes {
+			for _, w := range []int64{0, 1, int64(rng.Intn(7)), 1<<62 - rng.Int63n(1<<20), -(1<<62 + rng.Int63n(1<<20))} {
+				for o := 0; o < m; o++ {
+					mask, pen := k.PairBRow(o), []int64(nil)
+					if class != UnconstrainedClass {
+						mask, pen = k.PairClassRows(class, o)
+					}
+					for to := 0; to < m; to++ {
+						got := w * mask[to]
+						if pen != nil {
+							got += pen[to]
+						}
+						if want := k.Entry(class, to, o, w) + k.Entry(class, o, to, w); got != want {
+							t.Fatalf("trial %d class=%d o=%d to=%d w=%d: pair row %d, entries %d", trial, class, o, to, w, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestKernelZeroPenaltyStillMasks(t *testing.T) {
 	// The embedded Q̂ *sets* violating entries to the penalty; with penalty 0
 	// the wire coupling must still disappear there, not survive.

@@ -21,7 +21,6 @@
 package gap
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"math"
@@ -249,10 +248,16 @@ type regretItem struct {
 	regret       float64 // second-best − best (+Inf when only one bin fits)
 }
 
+// regretHeap is a max-regret priority queue over regretItem values. Its
+// sift-up and sift-down are container/heap's, step for step, on the typed
+// slice: no entry is boxed into an interface. Keeping the same algorithm
+// keeps the same pop sequence even when less is not a strict weak order —
+// a NaN regret (two ±Inf costs of one sign) compares neither before nor
+// after anything, and a different heap algorithm could order such pops
+// differently.
 type regretHeap []regretItem
 
-func (h regretHeap) Len() int { return len(h) }
-func (h regretHeap) Less(a, b int) bool {
+func (h regretHeap) less(a, b int) bool {
 	// Max-heap on regret; ties broken by cheaper best cost for determinism.
 	// Exact float comparison is deliberate in both guards: a comparator must
 	// stay transitive, and an epsilon here would break the heap invariant.
@@ -266,9 +271,57 @@ func (h regretHeap) Less(a, b int) bool {
 	}
 	return h[a].j < h[b].j
 }
-func (h regretHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *regretHeap) Push(x any)   { *h = append(*h, x.(regretItem)) }
-func (h *regretHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+// init establishes the heap order (container/heap.Init).
+func (h regretHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+// push adds it (container/heap.Push).
+func (h *regretHeap) push(it regretItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the top entry (container/heap.Pop).
+func (h *regretHeap) pop() regretItem {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+// up sifts entry j toward the root; at most log₂ n steps.
+func (h regretHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down sifts entry i toward the leaves of the first n entries; at most
+// log₂ n steps.
+func (h regretHeap) down(i, n int) {
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		if c2 := c + 1; c2 < n && h.less(c2, c) {
+			c = c2 // right child
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
 // score computes the best/second-best feasible bins of item j given the
 // remaining capacities. ok is false when no bin fits.
@@ -321,15 +374,15 @@ func construct[T number](v *view[T]) (assign []int, ok bool) {
 		}
 		h = append(h, it)
 	}
-	heap.Init(&h)
+	h.init()
 
 	// Bounded drain: every pop either assigns an item for good or
 	// revalidates one stale cache entry, and entries only go stale when a
 	// capacity shrank — at most n shrinks, so the loop is O(n²) worst case
 	// and terminates with the instance.
 	//lint:ignore cancel-poll heap drain is bounded by n assignments plus one revalidation per capacity shrink
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(regretItem)
+	for len(h) > 0 {
+		it := h.pop()
 		if assign[it.j] >= 0 {
 			continue
 		}
@@ -343,7 +396,7 @@ func construct[T number](v *view[T]) (assign []int, ok bool) {
 				// of the constructor is needed.
 				return repair(v, assign, remaining, it.j)
 			}
-			heap.Push(&h, fresh)
+			h.push(fresh)
 			continue
 		}
 		assign[it.j] = it.best
@@ -478,6 +531,12 @@ type refiner[T number] struct {
 	// plus a rounding slack of 2⁻⁴⁶·max|c|, or +∞ (nothing is skipped)
 	// when max|c| ≥ 2⁶¹.
 	skip float64
+	// evict[i] is a lower bound on the eviction delta
+	// float64(col(k)[b] − col(k)[i]) over the items k in bin i and the
+	// bins b ≠ i, capacity ignored: exact at the start of each eject call,
+	// then lowered (never raised) as items arrive in i, so departures
+	// leave it stale-low.
+	evict []float64
 }
 
 func newRefiner[T number](v *view[T], assign []int) *refiner[T] {
@@ -489,13 +548,18 @@ func newRefiner[T number](v *view[T], assign []int) *refiner[T] {
 		members:   bitset.NewMembership(m, v.n()),
 		low:       make([]T, m*m),
 		open:      make([]int, 0, m),
+		evict:     make([]float64, m),
 	}
 	for j, i := range assign {
 		r.remaining[i] -= v.sizes[j]
 	}
+	// A NaN cost sticks in maxAbs (nothing compares above it), so it
+	// selects the +∞ threshold like a cost of 2⁶¹ or more.
 	var maxAbs float64
 	for _, c := range v.flat {
-		maxAbs = math.Max(maxAbs, math.Abs(float64(c)))
+		if a := math.Abs(float64(c)); a > maxAbs || math.IsNaN(a) {
+			maxAbs = a
+		}
 	}
 	r.skip = math.Inf(1)
 	if maxAbs < 0x1p61 {
@@ -628,14 +692,37 @@ func (r *refiner[T]) openWord(w, from int) uint64 {
 	return word
 }
 
+// evictArrive lowers bin i's eviction bound by item k's deltas. A NaN
+// delta is never selected by the scan and never lowers the bound.
+func (r *refiner[T]) evictArrive(k, i int) {
+	col := r.v.col(k)
+	for b, c := range col {
+		if d := float64(c - col[i]); b != i && d < r.evict[i] {
+			r.evict[i] = d
+		}
+	}
+}
+
 // eject performs depth-2 shifts: move item j into bin i after evicting one
 // item k from i to a third bin, when the combined cost delta is negative.
 // This escapes local optima that single shifts and pairwise swaps cannot
 // (three-way rotations). Returns whether any move was applied. It runs
 // right after a swap sweep and reuses that sweep's membership index.
+//
+// A full bin i is scanned only when gain0 + evict[i] could pass the
+// improvement test: the scan's best delta is one of the very values the
+// bound minimizes, float addition is monotone, so gain0 + bestDelta ≥
+// gain0 + evict[i] and a skipped bin could not have applied a chain. A
+// NaN or ±Inf sum skips only bins where the scan would apply nothing.
 func (r *refiner[T]) eject() bool {
 	v, assign, remaining, members := r.v, r.assign, r.remaining, r.members
 	m, n := v.m, v.n()
+	for i := range r.evict {
+		r.evict[i] = math.Inf(1) // exact for an empty bin
+	}
+	for k, i := range assign {
+		r.evictArrive(k, i)
+	}
 	moved := false
 	for j := 0; j < n; j++ {
 		s := assign[j]
@@ -648,6 +735,9 @@ func (r *refiner[T]) eject() bool {
 			gain0 := float64(colJ[i] - colJ[s])
 			if remaining[i] >= sj {
 				continue // plain shift handles this case
+			}
+			if !(gain0+r.evict[i] < -1e-12) {
+				continue // no eviction from i is cheap enough
 			}
 			// Find the cheapest eviction k: i → b that makes room. The
 			// membership bitset iterates bin i ascending — the identical
@@ -687,6 +777,8 @@ func (r *refiner[T]) eject() bool {
 				// old sorted-slice lists paid a shifted copy per move.
 				members.Move(bestK, i, bestB)
 				members.Move(j, s, i)
+				r.evictArrive(bestK, bestB)
+				r.evictArrive(j, i)
 				moved = true
 				break
 			}

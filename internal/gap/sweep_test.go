@@ -1,10 +1,11 @@
 package gap
 
-// Exactness of the bin-bounded swap sweep: it must apply the same swaps, in
-// the same order, as the plain O(N²) pair loop it replaced, which lives on
-// here as the reference. Any skip the bounds get wrong — a stale-high bound,
-// too little float slack, pruning past the 2⁶¹ cut-off — changes an
-// assignment these tests compare bit for bit.
+// Exactness of the bin-bounded swap sweep and the eviction-bounded eject:
+// each must apply the same moves, in the same order, as the plain scan it
+// replaced, which lives on here as the reference. Any skip the bounds get
+// wrong — a stale-high bound, too little float slack, pruning past the 2⁶¹
+// cut-off, a missed arrival — changes an assignment these tests compare bit
+// for bit.
 
 import (
 	"context"
@@ -48,8 +49,68 @@ func referenceSwapSweep[T number](r *refiner[T]) bool {
 	return improved
 }
 
-// referenceRefine is refine with the reference sweep. The reference does
-// not maintain the membership index, so it is rebuilt before eject.
+// referenceEject is the plain depth-2 ejection scan: every full bin i is
+// scanned member by member against every bin for the cheapest eviction.
+// It reads the membership index and keeps it exact through its moves.
+func referenceEject[T number](r *refiner[T]) bool {
+	v, assign, remaining, members := r.v, r.assign, r.remaining, r.members
+	m, n := v.m, v.n()
+	moved := false
+	for j := 0; j < n; j++ {
+		s := assign[j]
+		sj := v.sizes[j]
+		colJ := v.col(j)
+		for i := 0; i < m; i++ {
+			if i == s {
+				continue
+			}
+			gain0 := float64(colJ[i] - colJ[s])
+			if remaining[i] >= sj {
+				continue
+			}
+			bestDelta := math.Inf(1)
+			bestK, bestB := -1, -1
+			bin := members.Part(i)
+			for k := bin.NextSet(0); k < n; k = bin.NextSet(k + 1) {
+				sk := v.sizes[k]
+				if remaining[i]+sk < sj {
+					continue
+				}
+				colK := v.col(k)
+				for b := 0; b < m; b++ {
+					room := remaining[b]
+					if b == s {
+						room += sj
+					}
+					if b == i || room < sk {
+						continue
+					}
+					d := float64(colK[b] - colK[i])
+					if d < bestDelta {
+						bestDelta, bestK, bestB = d, k, b
+					}
+				}
+			}
+			if bestK >= 0 && gain0+bestDelta < -1e-12 {
+				remaining[i] += v.sizes[bestK]
+				remaining[bestB] -= v.sizes[bestK]
+				assign[bestK] = bestB
+				remaining[s] += sj
+				remaining[i] -= sj
+				assign[j] = i
+				members.Move(bestK, i, bestB)
+				members.Move(j, s, i)
+				moved = true
+				break
+			}
+		}
+	}
+	return moved
+}
+
+// referenceRefine is refine with the reference sweep and eject. The
+// reference sweep does not maintain the membership index, so it is rebuilt
+// before eject.
 func referenceRefine[T number](v *view[T], assign []int, opt Options) {
 	passes := opt.MaxRefinePasses
 	if passes <= 0 {
@@ -71,7 +132,7 @@ func referenceRefine[T number](v *view[T], assign []int, opt Options) {
 		improved := referenceSwapSweep(r)
 		if !improved {
 			r.members.Build(r.assign)
-			improved = r.eject()
+			improved = referenceEject(r)
 		}
 		if !improved {
 			return
@@ -197,10 +258,11 @@ func sign(x int) int {
 	return 1
 }
 
-// compareSweeps runs the bounded sweep and the reference from the same
-// states: the constructed assignment and a random (possibly overloaded) one.
-// Between swap sweeps both sides run the same shift sweeps and ejections,
-// so the comparison follows a full refine trajectory.
+// compareSweeps runs the bounded sweep and eject against the references
+// from the same states: the constructed assignment and a random (possibly
+// overloaded) one. Between swap sweeps both sides run the same shift
+// sweeps, so the comparison follows a full refine trajectory, sweep by
+// sweep and eject by eject.
 func compareSweeps[T number](t *testing.T, v *view[T], rng *rand.Rand, what string) {
 	t.Helper()
 	built, _ := construct(v)
@@ -218,8 +280,10 @@ func compareSweeps[T number](t *testing.T, v *view[T], rng *rand.Rand, what stri
 					what, sweep, gotImp, wantImp, got.assign, want.assign)
 			}
 			want.members.Build(want.assign)
-			if got.eject() != want.eject() || !slices.Equal(got.assign, want.assign) {
-				t.Fatalf("%s sweep %d: eject diverged on the shared membership index", what, sweep)
+			if gotEj, wantEj := got.eject(), referenceEject(want); gotEj != wantEj ||
+				!slices.Equal(got.assign, want.assign) || !slices.Equal(got.remaining, want.remaining) {
+				t.Fatalf("%s sweep %d: bounded eject diverged from the reference (moved %v/%v)\n got  %v\n want %v",
+					what, sweep, gotEj, wantEj, got.assign, want.assign)
 			}
 			gotShift, wantShift := got.shiftSweep(), want.shiftSweep()
 			if !gotImp && !gotShift && !wantShift {

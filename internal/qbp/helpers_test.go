@@ -112,6 +112,32 @@ func TestMinConflictsNoConstraintsIsNoOp(t *testing.T) {
 	}
 }
 
+// TestMinConflictsAllocationsIndependentOfSteps pins minConflicts'
+// allocations to its once-per-call set-up: the repair walk itself reuses
+// its buffers, so 5 steps and 500 steps allocate the same.
+func TestMinConflictsAllocationsIndependentOfSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	p, golden := testgen.Random(rng, testgen.Config{N: 30, TimingProb: 0.3})
+	// A zero bound everywhere asks every constrained pair to share a
+	// partition, which the capacities forbid: conflicts remain at every
+	// step, so the walk runs its full budget.
+	for k := range p.Circuit.Timing {
+		p.Circuit.Timing[k].MaxDelay = 0
+	}
+	u := make(model.Assignment, p.N())
+	allocs := func(steps int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			copy(u, golden)
+			if MinConflicts(p, u, 1, steps) == 0 {
+				t.Fatal("repair cleared an unsatisfiable instance")
+			}
+		})
+	}
+	if a, b := allocs(5), allocs(500); a != b {
+		t.Fatalf("minConflicts allocations: %v at 5 steps, %v at 500", a, b)
+	}
+}
+
 func TestEtaComputerMatchesDenseColumnSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	p, golden := testgen.Random(rng, testgen.Config{N: 8, TimingProb: 0.4})

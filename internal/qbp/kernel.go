@@ -69,6 +69,10 @@ type scratch struct {
 
 	// seen dedups the violated-endpoint collection of kick.
 	seen *bitset.Set
+
+	// mrow is the M-length move row polishPass evaluates each component's
+	// targets from (moveRow).
+	mrow []int64
 }
 
 func newScratch(m, n int) *scratch {
@@ -86,6 +90,7 @@ func newScratch(m, n int) *scratch {
 		colDirty:  bitset.New(n),
 		dirtyCols: make([]int, 0, n),
 		seen:      bitset.New(n),
+		mrow:      make([]int64, m),
 	}
 }
 
@@ -185,6 +190,47 @@ func (s *solver) accumColCSR(col []int64, u []int, j2 int) {
 			pen = pen[:len(col)]
 			for r := range col {
 				col[r] += w*mask[r] + pen[r]
+			}
+		}
+	}
+}
+
+// moveRow fills row with the penalized cost of component j at every
+// partition against its partners' slots in u: row[to] is j's linear term at
+// to plus, per stored arc, the both-direction pair cost q̂(to,o) + q̂(o,to).
+// One CSR walk and one fused length-M pass per arc (the shape of
+// accumColCSR), so the exact yᵀQ̂y change of moving j from cur to to is
+// row[to] − row[cur] for every target at once. The pair rows make each arc
+// term w·PairMask + PairPen, which wraps mod 2⁶⁴ exactly like the sum of
+// the two per-direction entries, so the difference equals the per-pair
+// evaluation bit for bit.
+func (s *solver) moveRow(row []int64, u []int, j int) {
+	if s.linFlat != nil {
+		copy(row, etaCol(s.linFlat, j, s.m))
+	} else {
+		clear(row)
+	}
+	cs := s.csr
+	lo, hi := cs.Row(j)
+	for k := lo; k < hi; k++ {
+		c := cs.Class[k]
+		w := cs.Weight[k]
+		o := u[cs.Col[k]]
+		if c == sparsemat.UnconstrainedClass {
+			if w == 0 {
+				continue
+			}
+			pb := s.kern.PairBRow(o)
+			pb = pb[:len(row)]
+			for r := range row {
+				row[r] += w * pb[r]
+			}
+		} else {
+			mask, pen := s.kern.PairClassRows(int(c), o)
+			mask = mask[:len(row)]
+			pen = pen[:len(row)]
+			for r := range row {
+				row[r] += w*mask[r] + pen[r]
 			}
 		}
 	}

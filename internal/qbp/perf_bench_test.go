@@ -196,3 +196,27 @@ func BenchmarkEtaIncrementalSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPolish times one in-loop polish(w, false) — passes to
+// convergence plus the violated-pair repair — from a fixed perturbed
+// assignment of a bounded-fan-out instance (N = 500, M = 16).
+func BenchmarkPolish(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	p, golden := testgen.Random(rng, testgen.Config{
+		N: 500, GridRows: 4, GridCols: 4, AvgDegree: 6, TimingProb: 0.3, CapSlack: 1.3,
+	})
+	s := newTestSolver(p, DefaultPenalty, false)
+	start := make(model.Assignment, s.n)
+	copy(start, golden)
+	for x := 0; x < s.n/5; x++ {
+		start[rng.Intn(s.n)] = rng.Intn(s.m)
+	}
+	w := make([]int, s.n)
+	b.Run(fmt.Sprintf("n=%d/m=%d", s.n, s.m), func(b *testing.B) {
+		b.ReportAllocs()
+		for k := 0; k < b.N; k++ {
+			copy(w, start)
+			s.polish(w, false)
+		}
+	})
+}

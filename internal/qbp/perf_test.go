@@ -7,6 +7,8 @@ package qbp
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -110,16 +112,42 @@ func refPenalizedValue(s *solver, u []int) int64 {
 	return v
 }
 
+// wrapPenalties are the penalties the delta tests cycle through: the
+// default, one at the auto-penalty ceiling, and one so large that a few
+// violations wrap the int64 value. Deltas must match value differences
+// modulo 2⁶⁴ in every case.
+var wrapPenalties = []int64{DefaultPenalty, AutoPenaltyCeiling, math.MaxInt64/3 + 12345}
+
+// checkMoveRow checks component j's move row against the value differences
+// it predicts, for every target: row[to] − row[u[j]] must equal
+// value(u with j → to) − value(u). u is restored before returning.
+func checkMoveRow(t *testing.T, s *solver, u []int, j int, value func([]int) int64, what string) {
+	t.Helper()
+	row := make([]int64, s.m)
+	s.moveRow(row, u, j)
+	cur := u[j]
+	before := value(u)
+	for to := 0; to < s.m; to++ {
+		u[j] = to
+		if d, diff := row[to]-row[cur], value(u)-before; d != diff {
+			u[j] = cur
+			t.Fatalf("%s: move row delta(component %d: %d→%d) = %d, value change %d", what, j, cur, to, d, diff)
+		}
+	}
+	u[j] = cur
+}
+
 // TestPenalizedValueMatchesReference checks the value and delta kernels on
 // every repTestInstance shape (sparse-sampled, dense Bernoulli with a linear
-// term, tiny): penalizedValue against the per-arc reference, and single and
-// joint move deltas against the value differences they predict — joint
-// moves of coupled pairs included, whose shared arc must count once.
+// term, tiny) under each of wrapPenalties: penalizedValue against the
+// per-arc reference, and move-row and joint move deltas against the value
+// differences they predict — joint moves of coupled pairs included, whose
+// shared arc must count once.
 func TestPenalizedValueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 45; trial++ {
 		p := repTestInstance(rng, trial)
-		s := newTestSolver(p, DefaultPenalty, trial%5 == 4)
+		s := newTestSolver(p, wrapPenalties[(trial/3)%len(wrapPenalties)], trial%5 == 4)
 		u := make([]int, s.n)
 		for probe := 0; probe < 10; probe++ {
 			for j := range u {
@@ -129,15 +157,11 @@ func TestPenalizedValueMatchesReference(t *testing.T) {
 			if want := refPenalizedValue(s, u); before != want {
 				t.Fatalf("trial %d: penalizedValue = %d, want %d", trial, before, want)
 			}
-			// Move deltas must match value differences exactly.
-			j, to := rng.Intn(s.n), rng.Intn(s.m)
-			d := s.moveDeltaPenalized(u, j, to)
-			old := u[j]
-			u[j] = to
+			// Move-row deltas must match value differences exactly.
+			j := rng.Intn(s.n)
+			checkMoveRow(t, s, u, j, s.penalizedValue, fmt.Sprintf("trial %d probe %d", trial, probe))
+			u[j] = rng.Intn(s.m)
 			after := s.penalizedValue(u)
-			if after-before != d {
-				t.Fatalf("trial %d: moveDelta(%d→%d) = %d, value change %d", trial, old, to, d, after-before)
-			}
 			// So must joint deltas; every other probe pairs j1 with one of
 			// its coupled partners.
 			j1, j2 := rng.Intn(s.n), rng.Intn(s.n)
@@ -148,7 +172,7 @@ func TestPenalizedValueMatchesReference(t *testing.T) {
 				continue
 			}
 			i1, i2 := rng.Intn(s.m), rng.Intn(s.m)
-			d = s.jointDeltaPenalized(u, j1, i1, j2, i2)
+			d := s.jointDeltaPenalized(u, j1, i1, j2, i2)
 			u[j1], u[j2] = i1, i2
 			if joint := s.penalizedValue(u); joint-after != d {
 				t.Fatalf("trial %d: jointDelta(%d→%d, %d→%d) = %d, value change %d",

@@ -816,28 +816,6 @@ func (s *solver) pairCost(iA, iB, c int, w int64) int64 {
 	return s.kern.Entry(c, iA, iB, w) + s.kern.Entry(c, iB, iA, w)
 }
 
-// moveDeltaPenalized is the exact change of yᵀQ̂y when moving j to
-// partition to, with everything else fixed at u: O(deg(j)).
-func (s *solver) moveDeltaPenalized(u []int, j, to int) int64 {
-	cur := u[j]
-	if cur == to {
-		return 0
-	}
-	delta := s.p.LinearAt(to, j) - s.p.LinearAt(cur, j)
-	cs := s.csr
-	lo, hi := cs.Row(j)
-	col := cs.Col[lo:hi]
-	wt := cs.Weight[lo:hi:hi][:len(col)]
-	cl := cs.Class[lo:hi:hi][:len(col)]
-	for k := range col {
-		o := u[col[k]]
-		c := int(cl[k])
-		w := wt[k]
-		delta += s.pairCost(to, o, c, w) - s.pairCost(cur, o, c, w)
-	}
-	return delta
-}
-
 // timingOKAt reports whether component j placed on partition to satisfies
 // all its timing bounds against the current positions in u.
 func (s *solver) timingOKAt(u []int, j, to int) bool {
@@ -890,20 +868,22 @@ func (s *solver) polish(u []int, preserveFeasible bool) {
 
 // polishPass is one serial best-improvement sweep: for each component in
 // order, take the best capacity-feasible (and optionally
-// timing-preserving) relocation.
+// timing-preserving) relocation. Each component's deltas to every target
+// come from one move row. The timing test runs only for a target that
+// would be taken; both tests are pure, so their order changes nothing.
 func (s *solver) polishPass(u []int, loads []int64, preserveFeasible bool) bool {
 	improved := false
+	row := s.sc.mrow
 	for j := 0; j < s.n; j++ {
 		cur := u[j]
+		s.moveRow(row, u, j)
+		base := row[cur]
 		bestTo, bestDelta := cur, int64(0)
 		for to := 0; to < s.m; to++ {
 			if to == cur || loads[to]+s.p.Circuit.Sizes[j] > s.p.Topology.Capacities[to] {
 				continue
 			}
-			if preserveFeasible && !s.timingOKAt(u, j, to) {
-				continue
-			}
-			if d := s.moveDeltaPenalized(u, j, to); d < bestDelta {
+			if d := row[to] - base; d < bestDelta && (!preserveFeasible || s.timingOKAt(u, j, to)) {
 				bestDelta, bestTo = d, to
 			}
 		}
@@ -1160,19 +1140,35 @@ func minConflicts(p *model.Problem, u model.Assignment, seed int64, maxSteps int
 	d := norm.Topology.Delay
 	rng := rand.New(rand.NewSource(seed))
 
+	// Per-component constraint lists, flat: component j's constraints are
+	// cl[off[j]:off[j+1]], in timing order (a counting sort places them).
 	type cons struct {
 		other int
 		dc    int64
 	}
-	cl := make([][]cons, n)
-	for _, tc := range norm.Circuit.Timing {
-		cl[tc.From] = append(cl[tc.From], cons{tc.To, tc.MaxDelay})
-		cl[tc.To] = append(cl[tc.To], cons{tc.From, tc.MaxDelay})
+	timing := norm.Circuit.Timing
+	off := make([]int, n+1)
+	for _, tc := range timing {
+		off[tc.From+1]++
+		off[tc.To+1]++
 	}
+	for j := 0; j < n; j++ {
+		off[j+1] += off[j]
+	}
+	cl := make([]cons, off[n])
+	for _, tc := range timing { // off[j] advances to j's end as it fills
+		cl[off[tc.From]] = cons{tc.To, tc.MaxDelay}
+		off[tc.From]++
+		cl[off[tc.To]] = cons{tc.From, tc.MaxDelay}
+		off[tc.To]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	consOf := func(j int) []cons { return cl[off[j]:off[j+1]] }
 	loads := norm.Loads(u)
 	viol := func(j, at int) int {
 		v := 0
-		for _, c := range cl[j] {
+		for _, c := range consOf(j) {
 			o := u[c.other]
 			if d[at][o] > c.dc || d[o][at] > c.dc {
 				v++
@@ -1210,6 +1206,7 @@ func minConflicts(p *model.Problem, u model.Assignment, seed int64, maxSteps int
 		setConflicted(j)
 	}
 
+	cands := make([]int, 0, m)
 	for step := 0; step < maxSteps; step++ {
 		if len(conflicted) == 0 {
 			return 0
@@ -1219,7 +1216,7 @@ func minConflicts(p *model.Problem, u model.Assignment, seed int64, maxSteps int
 		}
 		j := conflicted[rng.Intn(len(conflicted))]
 		best := violCount[j]
-		var cands []int
+		cands = cands[:0]
 		noise := rng.Float64() < 0.08
 		for i := 0; i < m; i++ {
 			if i == u[j] || loads[i]+norm.Circuit.Sizes[j] > norm.Topology.Capacities[i] {
@@ -1247,7 +1244,7 @@ func minConflicts(p *model.Problem, u model.Assignment, seed int64, maxSteps int
 		loads[to] += norm.Circuit.Sizes[j]
 		u[j] = to
 		// Update violation counts along j's constraints only.
-		for _, c := range cl[j] {
+		for _, c := range consOf(j) {
 			o := u[c.other]
 			was := d[from][o] > c.dc || d[o][from] > c.dc
 			is := d[to][o] > c.dc || d[o][to] > c.dc

@@ -6,6 +6,7 @@ package qbp
 // instances from sparse-sampled to dense Bernoulli.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -32,17 +33,20 @@ func repTestInstance(rng *rand.Rand, trial int) *model.Problem {
 
 // FuzzRepEquality checks the CSR kernels against the dense Q̂ (or Q when
 // timing is relaxed) built by qmatrix: penalizedValue against yᵀQ̂y and
-// the per-arc reference, moveDeltaPenalized against the difference of two
-// yᵀQ̂y evaluations, and the full η rebuild against Q̂'s column sums, with
-// the linear diagonal charged at every slot.
+// the per-arc reference, every move-row delta against the difference of
+// two yᵀQ̂y evaluations, and the full η rebuild against Q̂'s column sums,
+// with the linear diagonal charged at every slot. The penalty is drawn
+// from wrapPenalties by seed/4, so the wrapping case is fuzzed too.
 func FuzzRepEquality(f *testing.F) {
 	f.Add(int64(1), 0, false)
 	f.Add(int64(2), 1, false)
 	f.Add(int64(3), 2, true)
+	f.Add(int64(4), 0, false) // the auto-penalty ceiling
+	f.Add(int64(8), 1, false) // a penalty whose sums wrap
 	f.Fuzz(func(t *testing.T, seed int64, shape int, relax bool) {
 		rng := rand.New(rand.NewSource(seed))
 		p := repTestInstance(rng, shape)
-		s := newTestSolver(p, DefaultPenalty, relax)
+		s := newTestSolver(p, wrapPenalties[uint64(seed)/4%uint64(len(wrapPenalties))], relax)
 		q := qmatrix.DenseBase(s.p)
 		if !relax {
 			q = qmatrix.DenseQhat(s.p, s.penalty)
@@ -77,12 +81,8 @@ func FuzzRepEquality(f *testing.F) {
 				}
 			}
 
-			j, to := rng.Intn(s.n), rng.Intn(m)
-			d := s.moveDeltaPenalized(u, j, to)
-			u[j] = to
-			if after := qmatrix.Value(q, u, m); after-val != d {
-				t.Fatalf("probe %d: moveDelta(component %d → %d) = %d, yᵀQ̂y change %d", probe, j, to, d, after-val)
-			}
+			value := func(u []int) int64 { return qmatrix.Value(q, u, m) }
+			checkMoveRow(t, s, u, rng.Intn(s.n), value, fmt.Sprintf("probe %d", probe))
 		}
 	})
 }
