@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race bench bench-compare perfbench tables cover fmt vet lint lint-baseline lint-sarif daemon-smoke clean
+.PHONY: all build test test-race bench bench-compare perfbench tables cover fmt vet lint lint-sarif daemon-smoke clean
 
 all: build test lint
 
@@ -63,16 +63,10 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific invariants (panic-free libraries, seeded rand, qmatrix
-# index packing, determinism/lock/bounds dataflow, ...). Strict: fails on
-# any diagnostic not in the committed baseline (currently empty — new
-# findings are fixed or //lint:ignore'd, not baselined, unless a PR
-# documents why).
+# index packing, determinism/overflow/bounds dataflow, ...). Strict: fails
+# on any diagnostic; a justified exception is a //lint:ignore comment.
 lint: vet
-	$(GO) run ./cmd/qbplint -baseline .qbplint-baseline.json ./...
-
-# Regenerate the accepted-findings inventory from the current tree.
-lint-baseline:
-	$(GO) run ./cmd/qbplint -write-baseline .qbplint-baseline.json ./...
+	$(GO) run ./cmd/qbplint ./...
 
 # End-to-end daemon smoke: build qbpartd, submit a job over HTTP, poll it
 # to completion, scrape /metrics, SIGTERM, assert a clean graceful drain.
@@ -81,7 +75,7 @@ daemon-smoke:
 
 # Machine-readable report for code-scanning upload (does not fail the build).
 lint-sarif:
-	$(GO) run ./cmd/qbplint -format sarif -o qbplint.sarif ./... || true
+	$(GO) run ./cmd/qbplint -format sarif ./... > qbplint.sarif || true
 
 clean:
 	$(GO) clean ./...

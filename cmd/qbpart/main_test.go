@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	partition "repro"
 )
@@ -125,6 +127,49 @@ func TestReportLines(t *testing.T) {
 	for _, absent := range []string{"iterations       ", "arcs             "} {
 		if strings.Contains(out, absent) {
 			t.Errorf("gkl report has QBP-only line %q:\n%s", absent, out)
+		}
+	}
+}
+
+// lockedBuffer is a goroutine-safe stderr, so the only shared state a
+// concurrent progress callback can race on is the printer's own.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// TestProgressPrinterConcurrent calls one progress callback from several
+// goroutines at once, the way multistart workers do. Under -race a printer
+// whose rate limiter is not locked reports a data race on its last-print
+// time; without -race the test still checks every line is whole.
+func TestProgressPrinterConcurrent(t *testing.T) {
+	const workers, calls = 4, 200
+	var stderr lockedBuffer
+	report := progressPrinter(&stderr, time.Nanosecond)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= calls; i++ {
+				report(partition.QBPProgress{Start: w, Iteration: i, Iterations: calls})
+			}
+		}()
+	}
+	wg.Wait()
+	out := stderr.buf.String()
+	if n := strings.Count(out, "\n"); n == 0 || n > workers*calls {
+		t.Fatalf("printed %d lines, want 1..%d", n, workers*calls)
+	}
+	for _, l := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if !strings.HasPrefix(l, "progress: start ") || !strings.HasSuffix(l, "s") {
+			t.Fatalf("malformed progress line %q", l)
 		}
 	}
 }

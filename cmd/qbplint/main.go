@@ -3,31 +3,20 @@
 //
 // Usage:
 //
-//	qbplint [-enable list] [-disable list] [-list] [-tests=false]
-//	        [-format text|json|sarif] [-o file]
-//	        [-baseline file] [-write-baseline file] [-update-baseline file]
-//	        [pattern ...]
+//	qbplint [-enable list] [-disable list] [-list] [-format text|sarif] [pattern ...]
 //
 // Patterns are package directories; a trailing /... walks recursively
 // (testdata, vendor and hidden directories are skipped). With no pattern,
 // ./... is assumed.
 //
-// -format selects the report encoding: the default one-line text, a flat
-// JSON array, or SARIF 2.1.0 for code-scanning upload. -o writes the report
-// to a file instead of stdout (the exit code is unchanged). -baseline
-// subtracts the committed findings inventory before reporting, so only new
-// findings fail the build; -write-baseline regenerates that inventory from
-// the current findings and exits successfully. -update-baseline is the
-// one-way ratchet: it rewrites an existing baseline keeping only groups
-// still present (at the smaller count), so fixed findings can never return,
-// and it refuses to add new ones. -tests=false skips
-// type-checking in-package _test.go files (typed analyzers then fall back
-// to non-test code only).
+// -format selects the report encoding on stdout: the default one-line
+// text, or SARIF 2.1.0 for code-scanning upload (redirect stdout to a file;
+// the exit code is unchanged).
 //
-// Exit codes: 0 — no diagnostics; 1 — at least one diagnostic; 2 — usage or
-// load error. CI runs `qbplint ./...` and fails the build on any finding;
-// justified exceptions use a //lint:ignore <analyzer> <reason> comment on
-// the flagged line or the line above.
+// Exit codes: 0 — no diagnostics; 1 — at least one diagnostic; 2 — usage,
+// load or output-write error. CI runs `qbplint ./...` and fails the build on
+// any finding; justified exceptions use a //lint:ignore <analyzer> <reason>
+// comment on the flagged line or the line above.
 package main
 
 import (
@@ -52,23 +41,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	tests := fs.Bool("tests", true, "type-check in-package _test.go files for typed analyzers")
-	format := fs.String("format", "text", "report format: text, json or sarif")
-	output := fs.String("o", "", "write the report to this file instead of stdout")
-	baselinePath := fs.String("baseline", "", "subtract findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write the current findings to this baseline file and exit 0")
-	updateBaseline := fs.String("update-baseline", "", "tighten this baseline file to the current findings (never grows it) and exit 0")
+	format := fs.String("format", "text", "report format: text or sarif")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Fprintf(stdout, "%-22s %s\n", a.Name, a.Doc)
+			if _, err := fmt.Fprintf(stdout, "%-22s %s\n", a.Name, a.Doc); err != nil {
+				fmt.Fprintf(stderr, "qbplint: writing list: %v\n", err)
+				return 2
+			}
 		}
 		return 0
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(stderr, "qbplint: unknown -format %q (want text, json or sarif)\n", *format)
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(stderr, "qbplint: unknown -format %q (want text or sarif)\n", *format)
 		return 2
 	}
 	analyzers, err := lint.Select(*enable, *disable)
@@ -90,81 +77,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	loader.IncludeTestTypes = *tests
 	diags, err := lint.Run(loader, dirs, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	if *writeBaseline != "" {
-		f, cerr := os.Create(*writeBaseline)
-		if cerr != nil {
-			fmt.Fprintln(stderr, cerr)
-			return 2
-		}
-		werr := lint.NewBaseline(diags, loader.ModRoot).Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "qbplint: wrote %d finding group(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	if *updateBaseline != "" {
-		base, rerr := lint.ReadBaseline(*updateBaseline)
-		if rerr != nil {
-			fmt.Fprintf(stderr, "%v (use -write-baseline to create one)\n", rerr)
-			return 2
-		}
-		tightened, changed := base.Ratchet(diags, loader.ModRoot)
-		if !changed {
-			fmt.Fprintf(stderr, "qbplint: baseline %s already tight (%d group(s))\n", *updateBaseline, len(tightened.Findings))
-			return 0
-		}
-		if err := tightened.WriteFile(*updateBaseline); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "qbplint: tightened %s: %d -> %d finding group(s)\n", *updateBaseline, len(base.Findings), len(tightened.Findings))
-		return 0
-	}
-
-	if *baselinePath != "" {
-		base, rerr := lint.ReadBaseline(*baselinePath)
-		if rerr != nil {
-			fmt.Fprintln(stderr, rerr)
-			return 2
-		}
-		diags = base.Filter(diags, loader.ModRoot)
-	}
-
-	w := stdout
-	if *output != "" {
-		f, cerr := os.Create(*output)
-		if cerr != nil {
-			fmt.Fprintln(stderr, cerr)
-			return 2
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "json":
-		err = lint.WriteJSON(w, diags, loader.ModRoot)
-	case "sarif":
-		err = lint.WriteSARIF(w, diags, loader.ModRoot)
-	default:
+	if *format == "sarif" {
+		err = lint.WriteSARIF(stdout, diags, loader.ModRoot)
+	} else {
 		for _, d := range diags {
-			fmt.Fprintln(w, d)
+			if _, err = fmt.Fprintln(stdout, d); err != nil {
+				break
+			}
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, err)
+		fmt.Fprintf(stderr, "qbplint: writing report: %v\n", err)
 		return 2
 	}
 	if len(diags) > 0 {

@@ -4,10 +4,8 @@
 // write, a full disk, or a process interrupt therefore never leaves a
 // truncated or half-written file where a consumer expects a complete one —
 // the destination either keeps its previous content or receives the new
-// content whole. This is the same discipline the qbplint baseline writer
-// established (internal/lint.Baseline.WriteFile), hoisted into a helper the
-// CLIs share for every user-visible output (assignments, converted
-// problems, generated instances).
+// content whole. The CLIs share it for every user-visible output
+// (assignments, converted problems, generated instances).
 package atomicio
 
 import (

@@ -23,11 +23,10 @@ import (
 //     ever stored into that variable, field or parameter, collected by a
 //     whole-program store/argument-binding pass.
 //
-// Edges carry their kind: Dyn marks function-value dispatch (a "may call
-// one of these" set, excluded from must-not-allocate propagation), Spawn
-// marks go statements. Calls the graph cannot resolve (standard library,
-// method values, channels of closures) simply contribute no edge; the
-// summary layer treats them pessimistically where it matters (purity).
+// Dyn marks an edge from function-value dispatch (a "may call one of
+// these" set, excluded from must-not-allocate propagation). Calls the graph
+// cannot resolve (standard library, method values, channels of closures)
+// simply contribute no edge.
 type Program struct {
 	modPath string
 	pkgs    []*Package
@@ -50,15 +49,6 @@ type Program struct {
 	results    map[*types.Func]*resultSummary
 	resultBusy map[*types.Func]bool
 	localCeil  map[*FuncInfo]map[*types.Var]bool
-
-	// Concurrency topology (see goroutine.go).
-	spawns    map[*FuncInfo][]*SpawnSite
-	spawnTgt  map[*FuncInfo]bool
-	concLit   map[*FuncInfo]bool
-	freeVars  map[*FuncInfo][]*types.Var
-	handoff   map[*FuncInfo]map[*types.Var]bool
-	acquires  map[*FuncInfo]map[string]bool
-	lockExits map[*FuncInfo]map[string]int
 }
 
 // FuncInfo is one function in the Program: a declared function or method
@@ -76,21 +66,10 @@ type FuncInfo struct {
 	// Bottom-up summaries over the SCC condensation (see summary.go).
 	Polls     bool // may reach a cancellation poll (ctx.Err/ctx.Done)
 	Allocates bool // may make() or append onto a fresh slice (static paths)
-	Spawns    bool // contains (or reaches) a go statement
-	Pure      bool // no observable side effects on caller-visible state
 	Ceiling   bool // result may carry a ceiling-scale int64 (see taint)
 
-	// Concurrency summaries (see goroutine.go): lock keys this function may
-	// acquire (template form, sorted), and per-parameter channel/WaitGroup
-	// operations it (or a helper it hands the parameter to) performs.
-	Acquires []string
-	ChanOps  map[int]ChanOps
-	WGOps    map[int]WGOps
-
-	pollsBase  bool
-	allocBase  bool
-	spawnBase  bool
-	impureBase bool
+	pollsBase bool
+	allocBase bool
 
 	// Tarjan scratch.
 	index, lowlink int
@@ -107,9 +86,8 @@ func (fi *FuncInfo) Name() string {
 
 // CallEdge is one resolved call site target.
 type CallEdge struct {
-	To    *FuncInfo
-	Dyn   bool // dispatched through a tracked function value
-	Spawn bool // via a go statement
+	To  *FuncInfo
+	Dyn bool // dispatched through a tracked function value
 }
 
 // Program returns the interprocedural view over every package loaded so
@@ -147,13 +125,6 @@ func buildProgram(modPath string, pkgs []*Package) *Program {
 		results:    make(map[*types.Func]*resultSummary),
 		resultBusy: make(map[*types.Func]bool),
 		localCeil:  make(map[*FuncInfo]map[*types.Var]bool),
-		spawns:     make(map[*FuncInfo][]*SpawnSite),
-		spawnTgt:   make(map[*FuncInfo]bool),
-		concLit:    make(map[*FuncInfo]bool),
-		freeVars:   make(map[*FuncInfo][]*types.Var),
-		handoff:    make(map[*FuncInfo]map[*types.Var]bool),
-		acquires:   make(map[*FuncInfo]map[string]bool),
-		lockExits:  make(map[*FuncInfo]map[string]int),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -184,7 +155,6 @@ func buildProgram(modPath string, pkgs []*Package) *Program {
 	}
 	prog.tarjan()
 	prog.summarize()
-	prog.summarizeConcurrency()
 	prog.findReachable()
 	prog.ceilingFixpoint()
 	return prog
@@ -203,9 +173,6 @@ func (prog *Program) FuncsOf(pkg *Package) []*FuncInfo {
 
 // FuncOf maps a declared function object to its FuncInfo (nil if unknown).
 func (prog *Program) FuncOf(fn *types.Func) *FuncInfo { return prog.funcs[fn] }
-
-// LitOf maps a function literal to its FuncInfo (nil if unknown).
-func (prog *Program) LitOf(lit *ast.FuncLit) *FuncInfo { return prog.lits[lit] }
 
 // Reachable reports whether fi is reachable from a solver entry point.
 func (prog *Program) Reachable(fi *FuncInfo) bool { return prog.reach[fi] }
@@ -447,36 +414,20 @@ func lvalueVar(info *types.Info, lhs ast.Expr) *types.Var {
 // function literals are their own nodes and get their own walk).
 func (prog *Program) buildEdges(fi *FuncInfo) {
 	info := fi.Pkg.Info
-	spawned := make(map[*ast.CallExpr]bool)
-	type edgeKey struct {
-		to    *FuncInfo
-		dyn   bool
-		spawn bool
-	}
-	seen := make(map[edgeKey]bool)
-	add := func(call *ast.CallExpr, spawn bool) {
+	seen := make(map[CallEdge]bool)
+	inspectShallow(fi.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
 		tgts, dyn := prog.funTargets(info, call.Fun)
 		for _, t := range tgts {
-			if t == nil {
+			e := CallEdge{To: t, Dyn: dyn}
+			if t == nil || seen[e] {
 				continue
 			}
-			k := edgeKey{t, dyn, spawn}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			fi.Edges = append(fi.Edges, CallEdge{To: t, Dyn: dyn, Spawn: spawn})
-		}
-	}
-	inspectShallow(fi.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.GoStmt:
-			spawned[x.Call] = true
-			add(x.Call, true)
-		case *ast.CallExpr:
-			if !spawned[x] {
-				add(x, false)
-			}
+			seen[e] = true
+			fi.Edges = append(fi.Edges, e)
 		}
 		return true
 	})

@@ -2,14 +2,15 @@
 // solver invariants the Go compiler cannot see: library code must return
 // errors rather than panic, randomized heuristics must thread an explicit
 // seeded *rand.Rand, the Theorem-1 flat index r = i + j·M must come from the
-// designated helpers, float64 results must not be compared with ==, goroutine
-// literals must not capture loop variables, and error values must not be
-// discarded with `_ =`.
+// designated helpers, float64 results must not be compared with ==, error
+// values must not be discarded with `_ =`, ceiling-scale int64 arithmetic
+// must saturate, solver loops must poll for cancellation, and map order or
+// goroutine fan-in must not leak into results.
 //
 // Analyzers run per package directory. Non-test files are fully type-checked
-// (see Loader); _test.go files are parsed only, so analyzers that need type
-// information never see them. Findings can be suppressed with a justified
-// comment on the offending line or the line above:
+// (see Loader); in-package _test.go files get a second, combined check, and
+// external test packages are parsed only. Findings can be suppressed with a
+// justified comment on the offending line or the line above:
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
@@ -44,8 +45,9 @@ type Analyzer struct {
 	Name string // kebab-case identifier used in flags and suppressions
 	Doc  string // one-line description of the enforced invariant
 
-	// NeedsTypes restricts the analyzer to packages that type-checked; it
-	// never runs on _test.go files (they carry no type information).
+	// NeedsTypes restricts the analyzer to packages that type-checked;
+	// with IncludeTests it sees only the in-package test files, and only
+	// when their combined check succeeded (see Pass.Files).
 	NeedsTypes bool
 	// IncludeTests extends a syntactic analyzer to _test.go files.
 	IncludeTests bool
@@ -113,19 +115,14 @@ func All() []*Analyzer {
 		UnseededRand,
 		RawIndexArith,
 		FloatEquality,
-		GoroutineLoopCapture,
 		IgnoredError,
 		AllocInHotLoop,
 		MapOrderLeak,
-		LockBalance,
 		FlatBounds,
 		ShadowErr,
 		CancelPoll,
 		IntOverflow,
 		NondetReduce,
-		LocksetRace,
-		ChanProtocol,
-		WGBalance,
 	}
 }
 

@@ -60,11 +60,6 @@ func TestFixtures(t *testing.T) {
 		{"index_neg", nil},
 		{"floateq_pos", []string{"float-equality:6", "float-equality:11"}},
 		{"floateq_neg", nil},
-		{"capture_pos", []string{
-			"goroutine-loop-capture:13", "goroutine-loop-capture:13", "goroutine-loop-capture:13",
-			"goroutine-loop-capture:26", "goroutine-loop-capture:26",
-		}},
-		{"capture_neg", nil},
 		{"errdiscard_pos", []string{"ignored-error:8", "ignored-error:16"}},
 		{"errdiscard_neg", nil},
 		{"hotalloc_pos", []string{
@@ -88,9 +83,6 @@ func TestFixtures(t *testing.T) {
 		{"maporder_neg", nil},
 		{"maporder_suppress", nil},
 		{"maporder_entropy", []string{"map-order-leak:12", "map-order-leak:18", "unseeded-rand:18"}},
-		{"lockbal_pos", []string{"lock-balance:15", "lock-balance:29", "lock-balance:38"}},
-		{"lockbal_neg", nil},
-		{"lockbal_suppress", nil},
 		{"flatbounds_pos", []string{"flat-bounds:10", "flat-bounds:15", "flat-bounds:22"}},
 		{"flatbounds_neg", nil},
 		{"flatbounds_suppress", nil},
@@ -122,25 +114,9 @@ func TestFixtures(t *testing.T) {
 		// Result summaries prove Shifted's offset(i) in-bounds and refute
 		// ShiftedAll's.
 		{"flatbounds_interproc", []string{"flat-bounds:36"}},
-		// Concurrency analyzers: goroutine topology + summaries (PR 8).
-		{"lockset_pos", []string{"lockset-race:14", "lockset-race:32", "lockset-race:46"}},
-		{"lockset_neg", nil},
-		// Locks acquired through helper methods resolve via lockExitDelta.
-		{"lockset_helper", []string{"lockset-race:55"}},
-		// Shared-frame callbacks (Options fields, constructor-returned
-		// literals) are checked through the concurrent-literal marking.
-		{"lockset_closure", []string{"lockset-race:32", "lockset-race:54"}},
-		{"lockset_suppress", nil},
-		{"chanproto_pos", []string{
-			"chan-protocol:14", "chan-protocol:21", "chan-protocol:31", "chan-protocol:42",
-		}},
-		{"chanproto_neg", nil}, // the multistart drain pattern is the model
-		{"chanproto_suppress", nil},
-		{"wgbal_pos", []string{"wg-balance:14", "wg-balance:26"}},
-		{"wgbal_neg", nil},
-		{"wgbal_suppress", nil},
-		// One //lint:ignore naming several analyzers covers them all.
-		{"conc_multi_suppress", nil},
+		// One //lint:ignore naming several analyzers covers them all: the
+		// maporder_entropy line-18 shape under a two-name suppression.
+		{"multi_suppress", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -34,9 +34,9 @@ type Package struct {
 	TypeErr    error       // first type-checking error, if any
 
 	// TestInfo covers Files plus TestInPkg, so typed analyzers that opt
-	// into test files see real type information there. It is nil when the
-	// loader's test type-checking is disabled or failed (TestTypeErr); the
-	// fallback is the parse-only treatment test files always had.
+	// into test files see real type information there. It is nil when that
+	// check failed (TestTypeErr); the fallback is the parse-only treatment
+	// test files always had.
 	TestInfo    *types.Info
 	TestTypeErr error
 
@@ -70,12 +70,6 @@ type Loader struct {
 	ModRoot string // directory containing go.mod
 	ModPath string // module path declared in go.mod
 
-	// IncludeTestTypes (default true) additionally type-checks each
-	// package's in-package _test.go files into Package.TestInfo, falling
-	// back to parse-only per package when that check fails. qbplint's
-	// -tests=false turns it off.
-	IncludeTestTypes bool
-
 	std     types.ImporterFrom
 	pkgs    map[string]*Package // by absolute dir
 	loading map[string]bool     // cycle guard, by absolute dir
@@ -98,13 +92,12 @@ func NewLoader(dir string) (*Loader, error) {
 	}
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset:             fset,
-		ModRoot:          root,
-		ModPath:          path,
-		IncludeTestTypes: true,
-		std:              importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs:             make(map[string]*Package),
-		loading:          make(map[string]bool),
+		Fset:    fset,
+		ModRoot: root,
+		ModPath: path,
+		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:    make(map[string]*Package),
+		loading: make(map[string]bool),
 	}, nil
 }
 
@@ -288,7 +281,7 @@ func (l *Loader) load(dir string) (*Package, error) {
 // (build-tagged helpers, generated code, ...) the package silently falls
 // back to the parse-only treatment of test files.
 func (l *Loader) checkTestFiles(pkg *Package) {
-	if !l.IncludeTestTypes || pkg.Info == nil || len(pkg.TestInPkg) == 0 {
+	if pkg.Info == nil || len(pkg.TestInPkg) == 0 {
 		return
 	}
 	files := append(append([]*ast.File(nil), pkg.Files...), pkg.TestInPkg...)

@@ -8,10 +8,9 @@ import (
 	"strings"
 )
 
-// Machine-readable output: a flat JSON array for scripting, and SARIF 2.1.0
-// in the minimal shape GitHub code scanning ingests (tool.driver.rules with
-// ruleIndex back-references, one physicalLocation per result, and
-// %SRCROOT%-relative artifact URIs).
+// Machine-readable output: SARIF 2.1.0 in the minimal shape GitHub code
+// scanning ingests (tool.driver.rules with ruleIndex back-references, one
+// physicalLocation per result, and %SRCROOT%-relative artifact URIs).
 
 // sarifLog is the document root.
 type sarifLog struct {
@@ -144,30 +143,6 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, root string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// WriteJSON renders diagnostics as a flat JSON array for scripting.
-func WriteJSON(w io.Writer, diags []Diagnostic, root string) error {
-	type rec struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Message  string `json:"message"`
-	}
-	out := make([]rec, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, rec{
-			Analyzer: d.Analyzer,
-			File:     relativeURI(root, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // relativeURI renders path relative to root with forward slashes; paths

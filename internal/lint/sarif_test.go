@@ -186,91 +186,3 @@ func TestSARIFShape(t *testing.T) {
 		t.Errorf("outside-module uri = %q, want /outside/tree.go", uri)
 	}
 }
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, staticDiags(), "/mod"); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var out []struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(out) != len(staticDiags()) {
-		t.Fatalf("records = %d, want %d", len(out), len(staticDiags()))
-	}
-	if out[1].File != "internal/qbp/solve.go" || out[1].Line != 42 {
-		t.Errorf("record[1] = %+v, want internal/qbp/solve.go:42", out[1])
-	}
-
-	// Empty input must still encode as [], not null, for jq pipelines.
-	buf.Reset()
-	if err := WriteJSON(&buf, nil, "/mod"); err != nil {
-		t.Fatalf("WriteJSON(nil): %v", err)
-	}
-	if s := strings.TrimSpace(buf.String()); s != "[]" {
-		t.Errorf("WriteJSON(nil) = %q, want []", s)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := staticDiags()
-	b := NewBaseline(diags, "/mod")
-
-	// Two map-order-leak findings in the same file carry different messages,
-	// so they land in distinct entries; total groups = 5.
-	if len(b.Findings) != 5 {
-		t.Fatalf("findings = %d, want 5: %+v", len(b.Findings), b.Findings)
-	}
-	for i := 1; i < len(b.Findings); i++ {
-		a, c := b.Findings[i-1], b.Findings[i]
-		if a.File > c.File || (a.File == c.File && a.Analyzer > c.Analyzer) {
-			t.Errorf("findings not sorted at %d: %+v before %+v", i, a, c)
-		}
-	}
-
-	// Round-trip through the JSON encoding.
-	var buf bytes.Buffer
-	if err := b.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
-	}
-
-	// A baseline generated from the findings absorbs all of them...
-	if kept := got.Filter(diags, "/mod"); len(kept) != 0 {
-		t.Errorf("Filter left %d diagnostics, want 0: %v", len(kept), kept)
-	}
-	// ...but a NEW instance beyond the recorded count passes through.
-	extra := append(append([]Diagnostic(nil), diags...), diags[1])
-	if kept := got.Filter(extra, "/mod"); len(kept) != 1 {
-		t.Errorf("Filter(extra) left %d diagnostics, want 1", len(kept))
-	}
-	// Line-number drift must NOT invalidate the baseline.
-	moved := append([]Diagnostic(nil), diags...)
-	moved[1].Pos.Line = 57
-	if kept := got.Filter(moved, "/mod"); len(kept) != 0 {
-		t.Errorf("Filter after line drift left %d diagnostics, want 0", len(kept))
-	}
-}
-
-func TestBaselineVersionCheck(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(`{"version":99,"findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBaseline(path); err == nil {
-		t.Error("ReadBaseline accepted version 99")
-	}
-}

@@ -10,12 +10,10 @@ import (
 
 // Interprocedural layer, part 2: bottom-up function summaries.
 //
-// Boolean summaries (Polls, Allocates, Spawns, Pure) are propagated over
-// the SCC condensation in callee-first order, iterating inside each SCC to
-// a fixpoint so recursion converges. Polls/Allocates/Spawns take the least
-// fixpoint from false (a fact must be witnessed by some path); Pure takes
-// the greatest fixpoint from the local base (a recursive cycle with no
-// impure statement stays pure).
+// Boolean summaries (Polls, Allocates) are propagated over the SCC
+// condensation in callee-first order, iterating inside each SCC to a
+// fixpoint so recursion converges. Both take the least fixpoint from false:
+// a fact must be witnessed by some path.
 //
 // On top of the booleans sit two value-level summaries:
 //
@@ -38,81 +36,26 @@ import (
 //     like satAdd's hi = AutoPenaltyCeiling.
 
 // scanBase computes the local (non-transitive) facts of one function.
-func (prog *Program) scanBase(fi *FuncInfo) {
+func scanBase(fi *FuncInfo) {
 	info := fi.Pkg.Info
-	impure := false
 	inspectShallow(fi.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			if isPollCall(info, x) {
-				fi.pollsBase = true
-			}
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				switch {
-				case id.Name == "make":
-					fi.allocBase = true
-				case id.Name == "append" && len(x.Args) > 0 && freshSliceBase(x.Args[0]):
-					fi.allocBase = true
-				}
-			}
-			if !impure && !prog.callIsEffectFree(info, x) {
-				impure = true
-			}
-		case *ast.GoStmt:
-			fi.spawnBase = true
-			impure = true
-		case *ast.DeferStmt:
-			impure = true
-		case *ast.SendStmt:
-			impure = true
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW { // channel receive consumes shared state
-				impure = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if !localScalarWrite(info, fi, lhs) {
-					impure = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if !localScalarWrite(info, fi, x.X) {
-				impure = true
-			}
-		case *ast.RangeStmt:
-			if tv, ok := info.Types[x.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					impure = true
-				}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if isPollCall(info, call) {
+			fi.pollsBase = true
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			switch {
+			case id.Name == "make":
+				fi.allocBase = true
+			case id.Name == "append" && len(call.Args) > 0 && freshSliceBase(call.Args[0]):
+				fi.allocBase = true
 			}
 		}
 		return true
 	})
-	fi.impureBase = impure
-	fi.Pure = !impure // refined downward by summarize
-}
-
-// localScalarWrite reports lhs is a plain identifier naming a variable
-// declared inside fi — the only write shape with no caller-visible effect.
-// Index, star and selector stores may alias caller memory and count as
-// impure; so do writes to captured or package-level variables.
-func localScalarWrite(info *types.Info, fi *FuncInfo, lhs ast.Expr) bool {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if id.Name == "_" {
-		return true
-	}
-	obj := info.Defs[id]
-	if obj == nil {
-		obj = info.Uses[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	return fi.spanContains(v.Pos())
 }
 
 // spanContains reports whether pos lies inside the function's source span
@@ -125,35 +68,6 @@ func (fi *FuncInfo) spanContains(pos token.Pos) bool {
 		return pos >= fi.Lit.Pos() && pos <= fi.Lit.End()
 	}
 	return false
-}
-
-// callIsEffectFree reports a call that cannot mutate caller-visible state:
-// an effect-free builtin, a type conversion, or a statically-resolved
-// module function (whose own purity the SCC fixpoint folds in afterwards).
-func (prog *Program) callIsEffectFree(info *types.Info, call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	if id, ok := fun.(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "len", "cap", "make", "new", "min", "max", "append":
-				return true
-			}
-			return false // copy, delete, close, panic, print, recover, clear
-		}
-	}
-	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		return true // conversion
-	}
-	tgts, dyn := prog.funTargets(info, fun)
-	if dyn || len(tgts) == 0 {
-		return false // function value or unresolved (stdlib) call
-	}
-	for _, t := range tgts {
-		if t == nil {
-			return false
-		}
-	}
-	return true // transitive purity folded in by summarize
 }
 
 // isPollCall reports a direct cancellation poll: a method call Err or Done
@@ -178,7 +92,7 @@ func isPollCall(info *types.Info, call *ast.CallExpr) bool {
 // summarize propagates the boolean summaries bottom-up over prog.sccs.
 func (prog *Program) summarize() {
 	for _, fi := range prog.all {
-		prog.scanBase(fi)
+		scanBase(fi)
 	}
 	for _, scc := range prog.sccs {
 		for {
@@ -186,12 +100,8 @@ func (prog *Program) summarize() {
 			for _, fi := range scc {
 				polls := fi.pollsBase
 				allocs := fi.allocBase
-				spawns := fi.spawnBase
-				pure := !fi.impureBase
 				for _, e := range fi.Edges {
 					polls = polls || e.To.Polls
-					spawns = spawns || e.To.Spawns
-					pure = pure && e.To.Pure
 					if !e.Dyn {
 						// Dynamic dispatch is a may-call set; charging every
 						// tracked closure's allocations to every caller of the
@@ -200,8 +110,8 @@ func (prog *Program) summarize() {
 						allocs = allocs || e.To.Allocates
 					}
 				}
-				if polls != fi.Polls || allocs != fi.Allocates || spawns != fi.Spawns || pure != fi.Pure {
-					fi.Polls, fi.Allocates, fi.Spawns, fi.Pure = polls, allocs, spawns, pure
+				if polls != fi.Polls || allocs != fi.Allocates {
+					fi.Polls, fi.Allocates = polls, allocs
 					changed = true
 				}
 			}

@@ -14,6 +14,7 @@ func TestParseSuppression(t *testing.T) {
 	}{
 		{"//lint:ignore float-equality tolerance is intentional", []string{"float-equality"}, true, false},
 		{"//lint:ignore map-order-leak,shadow-err both are fine here", []string{"map-order-leak", "shadow-err"}, true, false},
+		{"//lint:ignore map-order-leak,shadow-err,flat-bounds all three", []string{"map-order-leak", "shadow-err", "flat-bounds"}, true, false},
 		{"//lint:ignore\tfloat-equality\ttab-separated reason", []string{"float-equality"}, true, false},
 		{"// not a directive", nil, false, false},
 		{"//lint:ignored float-equality near miss", nil, false, false},
@@ -49,7 +50,7 @@ func TestParseSuppression(t *testing.T) {
 func FuzzParseSuppression(f *testing.F) {
 	seeds := []string{
 		"//lint:ignore float-equality tolerance is intentional",
-		"//lint:ignore map-order-leak,shadow-err,lock-balance multi reason",
+		"//lint:ignore map-order-leak,shadow-err,flat-bounds multi reason",
 		"//lint:ignore",
 		"//lint:ignore shadow-err",
 		"//lint:ignore  ",
