@@ -13,10 +13,10 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/adjacency"
 	"repro/internal/interrupt"
 	"repro/internal/model"
 	"repro/internal/qbp"
+	"repro/internal/sparsemat"
 )
 
 // Options tunes Solve. The zero value gives a schedule comparable in CPU
@@ -65,7 +65,7 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 		return nil, err
 	}
 	norm := p.Normalized()
-	adj := adjacency.Build(norm.Circuit)
+	cs := sparsemat.Build(norm.Circuit)
 	n, m := norm.N(), norm.M()
 	b, d := norm.Topology.Cost, norm.Topology.Delay
 	penalty := opts.Penalty
@@ -107,18 +107,19 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 
 	// Penalized delta of moving j to partition `to` (both directions of
 	// every arc, penalty *instead of* the coupling on violated slots).
-	ord := func(i1, i2 int, arc adjacency.Arc) int64 {
-		if !opts.RelaxTiming && arc.MaxDelay != model.Unconstrained && d[i1][i2] > arc.MaxDelay {
+	ord := func(i1, i2, k int) int64 {
+		if md := cs.MaxDelay[k]; !opts.RelaxTiming && md != model.Unconstrained && d[i1][i2] > md {
 			return penalty
 		}
-		return arc.Weight * b[i1][i2]
+		return cs.Weight[k] * b[i1][i2]
 	}
 	moveDelta := func(j, to int) int64 {
 		cur := u[j]
 		delta := norm.LinearAt(to, j) - norm.LinearAt(cur, j)
-		for _, arc := range adj.Arcs[j] {
-			o := u[arc.Other]
-			delta += ord(to, o, arc) + ord(o, to, arc) - ord(cur, o, arc) - ord(o, cur, arc)
+		lo, hi := cs.Row(j)
+		for k := lo; k < hi; k++ {
+			o := u[cs.Col[k]]
+			delta += ord(to, o, k) + ord(o, to, k) - ord(cur, o, k) - ord(o, cur, k)
 		}
 		return delta
 	}
@@ -128,8 +129,9 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 			v += norm.LinearAt(a[j], j)
 		}
 		for j := 0; j < n; j++ {
-			for _, arc := range adj.Arcs[j] {
-				v += ord(a[j], a[arc.Other], arc)
+			lo, hi := cs.Row(j)
+			for k := lo; k < hi; k++ {
+				v += ord(a[j], a[cs.Col[k]], k)
 			}
 		}
 		return v

@@ -17,9 +17,9 @@ import (
 	"errors"
 	"sort"
 
-	"repro/internal/adjacency"
 	"repro/internal/interrupt"
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 )
 
 // Result is the outcome of an exact search.
@@ -46,7 +46,7 @@ type Options struct {
 
 type solver struct {
 	p        *model.Problem
-	adj      *adjacency.Lists
+	cs       *sparsemat.CSR
 	m, n     int
 	b, d     [][]int64
 	order    []int // component visit order (decreasing size)
@@ -85,7 +85,7 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (Result, error) 
 	norm := p.Normalized()
 	s := &solver{
 		p:        norm,
-		adj:      adjacency.Build(norm.Circuit),
+		cs:       sparsemat.Build(norm.Circuit),
 		m:        norm.M(),
 		n:        norm.N(),
 		b:        norm.Topology.Cost,
@@ -111,8 +111,8 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (Result, error) 
 		if norm.Circuit.Sizes[a] != norm.Circuit.Sizes[b] {
 			return norm.Circuit.Sizes[a] > norm.Circuit.Sizes[b]
 		}
-		if s.adj.Degree(a) != s.adj.Degree(b) {
-			return s.adj.Degree(a) > s.adj.Degree(b)
+		if s.cs.Degree(a) != s.cs.Degree(b) {
+			return s.cs.Degree(a) > s.cs.Degree(b)
 		}
 		return a < b
 	})
@@ -179,9 +179,10 @@ func (s *solver) precomputeTail() {
 		t := s.minTail[k+1]
 		// Couplings from j to later-ranked partners (counted once here,
 		// doubled because the objective counts both directions).
-		for _, arc := range s.adj.Arcs[j] {
-			if s.rank[arc.Other] > k && arc.Weight > 0 {
-				t += 2 * arc.Weight * minB
+		lo, hi := s.cs.Row(j)
+		for x := lo; x < hi; x++ {
+			if w := s.cs.Weight[x]; s.rank[s.cs.Col[x]] > k && w > 0 {
+				t += 2 * w * minB
 			}
 		}
 		s.minTail[k] = t
@@ -192,27 +193,30 @@ func (s *solver) precomputeTail() {
 // the already-placed components: linear term plus both-direction couplings.
 func (s *solver) placedCost(j, i int) int64 {
 	c := s.p.LinearAt(i, j)
-	for _, arc := range s.adj.Arcs[j] {
-		o := s.u[arc.Other]
-		if o == model.Unassigned || arc.Weight == 0 {
+	lo, hi := s.cs.Row(j)
+	for k := lo; k < hi; k++ {
+		o, w := s.u[s.cs.Col[k]], s.cs.Weight[k]
+		if o == model.Unassigned || w == 0 {
 			continue
 		}
-		c += arc.Weight * (s.b[i][o] + s.b[o][i])
+		c += w * (s.b[i][o] + s.b[o][i])
 	}
 	return c
 }
 
 // timingOK checks j-on-i against placed partners only.
 func (s *solver) timingOK(j, i int) bool {
-	for _, arc := range s.adj.Arcs[j] {
-		if arc.MaxDelay == model.Unconstrained {
+	lo, hi := s.cs.Row(j)
+	for k := lo; k < hi; k++ {
+		md := s.cs.MaxDelay[k]
+		if md == model.Unconstrained {
 			continue
 		}
-		o := s.u[arc.Other]
+		o := s.u[s.cs.Col[k]]
 		if o == model.Unassigned {
 			continue
 		}
-		if s.d[i][o] > arc.MaxDelay || s.d[o][i] > arc.MaxDelay {
+		if s.d[i][o] > md || s.d[o][i] > md {
 			return false
 		}
 	}

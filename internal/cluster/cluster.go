@@ -14,8 +14,8 @@ import (
 	"errors"
 	"sort"
 
-	"repro/internal/adjacency"
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 )
 
 // Options tunes Split and Clusters.
@@ -35,8 +35,7 @@ func Split(c *model.Circuit, opts Options) ([]int, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	adj := adjacency.Build(c)
-	return splitSubset(c, adj, allOf(c.N()), opts), nil
+	return splitSubset(sparsemat.Build(c), allOf(c.N()), opts), nil
 }
 
 func allOf(n int) []int {
@@ -50,7 +49,7 @@ func allOf(n int) []int {
 // splitSubset bipartitions the given subset, returning side indicators
 // aligned with the full component index space (entries outside subset are
 // -1).
-func splitSubset(c *model.Circuit, adj *adjacency.Lists, subset []int, opts Options) []int {
+func splitSubset(cs *sparsemat.CSR, subset []int, opts Options) []int {
 	maxPasses := opts.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 12
@@ -59,7 +58,7 @@ func splitSubset(c *model.Circuit, adj *adjacency.Lists, subset []int, opts Opti
 	if minPart <= 0 {
 		minPart = 2
 	}
-	n := c.N()
+	n := cs.N
 	side := make([]int, n)
 	for j := range side {
 		side[j] = -1
@@ -79,7 +78,7 @@ func splitSubset(c *model.Circuit, adj *adjacency.Lists, subset []int, opts Opti
 	// becomes side 0 — a connectivity-aware start.
 	start := subset[0]
 	for _, j := range subset {
-		if adj.Degree(j) > adj.Degree(start) {
+		if cs.Degree(j) > cs.Degree(start) {
 			start = j
 		}
 	}
@@ -92,10 +91,11 @@ func splitSubset(c *model.Circuit, adj *adjacency.Lists, subset []int, opts Opti
 		j := queue[0]
 		queue = queue[1:]
 		order = append(order, j)
-		for _, arc := range adj.Arcs[j] {
-			if inSubset[arc.Other] && !seen[arc.Other] && arc.Weight > 0 {
-				seen[arc.Other] = true
-				queue = append(queue, arc.Other)
+		lo, hi := cs.Row(j)
+		for k := lo; k < hi; k++ {
+			if o := int(cs.Col[k]); inSubset[o] && !seen[o] && cs.Weight[k] > 0 {
+				seen[o] = true
+				queue = append(queue, o)
 			}
 		}
 	}
@@ -118,9 +118,10 @@ func splitSubset(c *model.Circuit, adj *adjacency.Lists, subset []int, opts Opti
 	count := [2]int{}
 	for _, j := range subset {
 		count[side[j]]++
-		for _, arc := range adj.Arcs[j] {
-			if j < arc.Other && inSubset[arc.Other] && side[j] != side[arc.Other] {
-				cut += arc.Weight
+		lo, hi := cs.Row(j)
+		for k := lo; k < hi; k++ {
+			if o := int(cs.Col[k]); j < o && inSubset[o] && side[j] != side[o] {
+				cut += cs.Weight[k]
 			}
 		}
 	}
@@ -143,14 +144,16 @@ func splitSubset(c *model.Circuit, adj *adjacency.Lists, subset []int, opts Opti
 			// Cut delta of moving j: edges to the other side leave the
 			// cut, edges to its own side enter it.
 			var toOther, toOwn int64
-			for _, arc := range adj.Arcs[j] {
-				if !inSubset[arc.Other] || arc.Weight == 0 {
+			lo, hi := cs.Row(j)
+			for k := lo; k < hi; k++ {
+				o, w := cs.Col[k], cs.Weight[k]
+				if !inSubset[o] || w == 0 {
 					continue
 				}
-				if side[arc.Other] == from {
-					toOwn += arc.Weight
+				if side[o] == from {
+					toOwn += w
 				} else {
-					toOther += arc.Weight
+					toOther += w
 				}
 			}
 			newCut := cut - toOther + toOwn
@@ -179,7 +182,7 @@ func Clusters(c *model.Circuit, k int, opts Options) ([][]int, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	adj := adjacency.Build(c)
+	cs := sparsemat.Build(c)
 	clusters := [][]int{allOf(c.N())}
 	for len(clusters) < k {
 		// Split the largest splittable cluster.
@@ -188,7 +191,7 @@ func Clusters(c *model.Circuit, k int, opts Options) ([][]int, error) {
 		if len(target) < 2 {
 			break // nothing left to split
 		}
-		side := splitSubset(c, adj, target, opts)
+		side := splitSubset(cs, target, opts)
 		var s0, s1 []int
 		for _, j := range target {
 			if side[j] == 0 {

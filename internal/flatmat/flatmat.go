@@ -99,11 +99,11 @@ type Kernel struct {
 }
 
 // NewKernel precomputes the effective rows for every delay class in
-// delayBounds (the sorted distinct finite D_C values, as produced by
-// adjacency.Lists.DelayClasses) against the M×M cost matrix b and delay
-// matrix d. A zero penalty (the relaxed/Table II configuration) still
-// zeroes MaskB outside the feasible region, matching the embedded Q̂ whose
-// violating entries are *set* to the penalty rather than added to.
+// delayBounds (the sorted distinct finite D_C values of the coupling graph)
+// against the M×M cost matrix b and delay matrix d. A zero penalty (the
+// relaxed/Table II configuration) still zeroes MaskB outside the feasible
+// region, matching the embedded Q̂ whose violating entries are *set* to the
+// penalty rather than added to.
 func NewKernel(b, d Matrix, delayBounds []int64, penalty int64) *Kernel {
 	m := b.Rows()
 	k := &Kernel{m: m, penalty: penalty, b: b}

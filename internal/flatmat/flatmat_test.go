@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adjacency"
 	"repro/internal/model"
 )
 
@@ -156,33 +155,5 @@ func TestKernelZeroPenaltyStillMasks(t *testing.T) {
 	}
 	if got := k.Entry(0, 0, 0, 2); got != 0 {
 		t.Fatalf("feasible diagonal entry = %d, want 0", got)
-	}
-}
-
-func TestDelayClasses(t *testing.T) {
-	c := &model.Circuit{
-		Sizes: []int64{1, 1, 1, 1},
-		Wires: []model.Wire{{From: 0, To: 1, Weight: 2}, {From: 2, To: 3, Weight: 1}},
-		Timing: []model.TimingConstraint{
-			{From: 0, To: 1, MaxDelay: 5},
-			{From: 1, To: 2, MaxDelay: 2},
-			{From: 2, To: 3, MaxDelay: 5},
-		},
-	}
-	l := adjacency.Build(c)
-	bounds, classes := l.DelayClasses()
-	if len(bounds) != 2 || bounds[0] != 2 || bounds[1] != 5 {
-		t.Fatalf("bounds = %v, want [2 5]", bounds)
-	}
-	for j, arcs := range l.Arcs {
-		for k, a := range arcs {
-			class := classes[j][k]
-			switch {
-			case a.MaxDelay == model.Unconstrained && class != -1:
-				t.Fatalf("arc %d/%d unconstrained but class %d", j, k, class)
-			case a.MaxDelay != model.Unconstrained && bounds[class] != a.MaxDelay:
-				t.Fatalf("arc %d/%d bound %d but class %d (bound %d)", j, k, a.MaxDelay, class, bounds[class])
-			}
-		}
 	}
 }

@@ -16,11 +16,11 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/adjacency"
 	"repro/internal/bitset"
 	"repro/internal/gains"
 	"repro/internal/interrupt"
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 )
 
 // Options tunes Solve.
@@ -83,8 +83,8 @@ func Solve(ctx context.Context, p *model.Problem, initial model.Assignment, opts
 	if !opts.RelaxTiming && !norm.TimingFeasible(initial) {
 		return nil, errors.New("fm: initial assignment must be timing-feasible")
 	}
-	adj := adjacency.Build(norm.Circuit)
-	t, err := gains.New(norm, adj, initial)
+	cs := sparsemat.Build(norm.Circuit)
+	t, err := gains.New(norm, cs, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -170,9 +170,10 @@ func Solve(ctx context.Context, p *model.Problem, initial model.Assignment, opts
 				// The move can turn interior wire neighbors into boundary
 				// components; grow the candidate set so they stay visible
 				// for the rest of the pass.
-				for _, arc := range adj.Arcs[bestJ] {
-					if arc.Weight != 0 {
-						cand.Set(arc.Other)
+				lo, hi := cs.Row(bestJ)
+				for k := lo; k < hi; k++ {
+					if cs.Weight[k] != 0 {
+						cand.Set(int(cs.Col[k]))
 					}
 				}
 			}

@@ -9,8 +9,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adjacency"
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 	"repro/internal/testgen"
 )
 
@@ -20,7 +20,7 @@ func benchTable(b *testing.B) (*Table, *model.Problem) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	p, golden := testgen.Random(rng, testgen.Config{N: 2000, AvgDegree: 8, GridRows: 4, GridCols: 4})
-	tb, err := New(p, adjacency.Build(p.Circuit), golden)
+	tb, err := New(p, sparsemat.Build(p.Circuit), golden)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package gains
 import (
 	"fmt"
 
-	"repro/internal/adjacency"
 	"repro/internal/bitset"
 	"repro/internal/model"
 	"repro/internal/sparsemat"
@@ -25,7 +24,7 @@ import (
 // a Table must not be shared between goroutines, not even for reads.
 type Table struct {
 	p     *model.Problem     // normalized PP(1,1)
-	csr   *sparsemat.CSR     // flattened coupling rows (weights + timing bounds)
+	csr   *sparsemat.CSR     // coupling graph of p, shared read-only
 	m     int                // number of partitions
 	bp    []int64            // bp[x·M+y] = b[x][y] + b[y][x], symmetric in x, y
 	u     []int              // current assignment
@@ -41,8 +40,10 @@ type Table struct {
 }
 
 // New builds a table over a copy of the initial assignment. The problem is
-// normalized internally; initial must be a complete in-range assignment.
-func New(p *model.Problem, adj *adjacency.Lists, initial model.Assignment) (*Table, error) {
+// normalized internally, and csr must be the coupling graph of the
+// normalized problem (sparsemat.Build); the table reads it and never
+// writes it. initial must be a complete in-range assignment.
+func New(p *model.Problem, csr *sparsemat.CSR, initial model.Assignment) (*Table, error) {
 	p = p.Normalized()
 	if len(initial) != p.N() || !initial.Valid(p.M()) {
 		return nil, fmt.Errorf("gains: initial assignment invalid (len %d, want %d complete in-range entries)", len(initial), p.N())
@@ -50,7 +51,7 @@ func New(p *model.Problem, adj *adjacency.Lists, initial model.Assignment) (*Tab
 	m := p.M()
 	t := &Table{
 		p:      p,
-		csr:    sparsemat.FromLists(adj, nil),
+		csr:    csr,
 		m:      m,
 		bp:     make([]int64, m*m),
 		u:      append([]int(nil), initial...),

@@ -5,15 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adjacency"
 	"repro/internal/model"
 	"repro/internal/paperex"
+	"repro/internal/sparsemat"
 	"repro/internal/testgen"
 )
 
 func newTable(t *testing.T, p *model.Problem, a model.Assignment) *Table {
 	t.Helper()
-	tb, err := New(p, adjacency.Build(p.Normalized().Circuit), a)
+	tb, err := New(p, sparsemat.Build(p.Normalized().Circuit), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +22,11 @@ func newTable(t *testing.T, p *model.Problem, a model.Assignment) *Table {
 
 func TestNewRejectsBadInitial(t *testing.T) {
 	p := paperex.MustNew()
-	adj := adjacency.Build(p.Circuit)
-	if _, err := New(p, adj, model.Assignment{0, 1}); err == nil {
+	cs := sparsemat.Build(p.Circuit)
+	if _, err := New(p, cs, model.Assignment{0, 1}); err == nil {
 		t.Fatal("short assignment accepted")
 	}
-	if _, err := New(p, adj, model.Assignment{0, 1, 9}); err == nil {
+	if _, err := New(p, cs, model.Assignment{0, 1, 9}); err == nil {
 		t.Fatal("out-of-range assignment accepted")
 	}
 }

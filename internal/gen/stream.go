@@ -36,7 +36,7 @@ const streamWireSalt = 0x77697265 // "wire"
 //
 //   - Wires are emitted as unit-weight records, one per drawn connection,
 //     so duplicate pairs appear as repeated records. Every consumer merges
-//     them (adjacency.Build accumulates weights; the objective sums over
+//     them (sparsemat.Build accumulates weights; the objective sums over
 //     records), and Σ a[j1][j2] still equals Params.Wires exactly.
 //   - Timing pairs replay the wire-draw rng from its seed instead of
 //     permuting a materialized wire list, so constrained pairs are a prefix

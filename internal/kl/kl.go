@@ -16,11 +16,11 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/adjacency"
 	"repro/internal/bitset"
 	"repro/internal/gains"
 	"repro/internal/interrupt"
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 )
 
 // DefaultMaxPasses is the paper's outer-loop cutoff.
@@ -83,8 +83,8 @@ func Solve(ctx context.Context, p *model.Problem, initial model.Assignment, opts
 	if !opts.RelaxTiming && !norm.TimingFeasible(initial) {
 		return nil, errors.New("kl: initial assignment must be timing-feasible")
 	}
-	adj := adjacency.Build(norm.Circuit)
-	t, err := gains.New(norm, adj, initial)
+	cs := sparsemat.Build(norm.Circuit)
+	t, err := gains.New(norm, cs, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -188,9 +188,10 @@ func Solve(ctx context.Context, p *model.Problem, initial model.Assignment, opts
 				// The swap can expose interior wire neighbors; keep them
 				// visible for the rest of the pass.
 				for _, j := range [2]int{bestJ1, bestJ2} {
-					for _, arc := range adj.Arcs[j] {
-						if arc.Weight != 0 {
-							cand.Set(arc.Other)
+					lo, hi := cs.Row(j)
+					for k := lo; k < hi; k++ {
+						if cs.Weight[k] != 0 {
+							cand.Set(int(cs.Col[k]))
 						}
 					}
 				}

@@ -18,195 +18,23 @@ package multilevel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 )
 
-// graph is one level of the contraction hierarchy: component sizes plus a
-// symmetric CSR of merged couplings. Parallel wires between a pair are
-// aggregated into one arc (weight sum); parallel timing constraints keep the
-// tightest budget. Weight 0 marks a timing-only arc, MaxDelay
-// model.Unconstrained a wire-only arc — the same convention as
-// internal/adjacency, without the map-based build (a million-component level
-// is built by counting sort in O(nnz) flat memory).
+// graph is one level of the contraction hierarchy: component sizes plus
+// the level's coupling graph, merged by the same builder every solver uses
+// (weight sums, budget minima, map-free counting sort), so a
+// million-component level is built in O(nnz) flat memory and its visit
+// order — and therefore everything solved on it — is deterministic.
 type graph struct {
-	n        int
-	sizes    []int64
-	rowPtr   []int   // len n+1; arcs of j are [rowPtr[j], rowPtr[j+1])
-	col      []int32 // partner, ascending within each row
-	weight   []int64 // aggregated wire weight (0 ⇒ timing-only)
-	maxDelay []int64 // tightest budget (model.Unconstrained ⇒ wire-only)
-	pairs    int     // distinct coupled unordered pairs (len(col)/2)
-}
-
-// pairList collects raw unordered coupling records (From < To) for
-// buildGraph to merge. Duplicates are legal and expected: the streamed
-// binary format emits unit-weight wire records, and contraction maps many
-// fine pairs onto one coarse pair.
-type pairList struct {
-	u, v  []int32
-	w, md []int64
-}
-
-func newPairList(capHint int) *pairList {
-	return &pairList{
-		u:  make([]int32, 0, capHint),
-		v:  make([]int32, 0, capHint),
-		w:  make([]int64, 0, capHint),
-		md: make([]int64, 0, capHint),
-	}
-}
-
-func (pl *pairList) add(u, v int32, w, md int64) {
-	pl.u = append(pl.u, u)
-	pl.v = append(pl.v, v)
-	pl.w = append(pl.w, w)
-	pl.md = append(pl.md, md)
-}
-
-// buildGraph merges a pair list into a level graph: counting sort by the
-// low endpoint, an insertion sort of each small row segment by the high
-// endpoint, duplicate merging (weight sums, budget minima), then scattering
-// the merged pairs into the symmetric CSR. Everything is flat-array work —
-// no maps — so the visit order (and therefore the graph, and everything
-// solved on it) is deterministic.
-func buildGraph(n int, sizes []int64, pl *pairList) *graph {
-	np := len(pl.u)
-	// Counting sort by low endpoint.
-	cnt := make([]int, n+1)
-	for _, u := range pl.u {
-		cnt[u+1]++
-	}
-	for i := 0; i < n; i++ {
-		cnt[i+1] += cnt[i]
-	}
-	su := make([]int32, np)
-	sv := make([]int32, np)
-	sw := make([]int64, np)
-	smd := make([]int64, np)
-	pos := make([]int, n)
-	copy(pos, cnt[:n])
-	for k := range pl.u {
-		p := pos[pl.u[k]]
-		pos[pl.u[k]]++
-		su[p] = pl.u[k]
-		sv[p] = pl.v[k]
-		sw[p] = pl.w[k]
-		smd[p] = pl.md[k]
-	}
-	// Sort each row segment by high endpoint and merge duplicates in place.
-	wr := 0
-	for r := 0; r < n; r++ {
-		lo, hi := cnt[r], cnt[r+1]
-		seg := hi - lo
-		switch {
-		case seg == 0:
-			continue
-		case seg <= 32:
-			for i := lo + 1; i < hi; i++ {
-				cv, cw, cm := sv[i], sw[i], smd[i]
-				j := i
-				for j > lo && sv[j-1] > cv {
-					sv[j], sw[j], smd[j] = sv[j-1], sw[j-1], smd[j-1]
-					j--
-				}
-				sv[j], sw[j], smd[j] = cv, cw, cm
-			}
-		default:
-			// Hub rows (unbounded fan-out generators) get a real sort on an
-			// index permutation so the payload moves once.
-			idx := make([]int, seg)
-			for i := range idx {
-				idx[i] = lo + i
-			}
-			sort.Slice(idx, func(a, b int) bool { return sv[idx[a]] < sv[idx[b]] })
-			tv := make([]int32, seg)
-			tw := make([]int64, seg)
-			tm := make([]int64, seg)
-			for i, ix := range idx {
-				tv[i], tw[i], tm[i] = sv[ix], sw[ix], smd[ix]
-			}
-			copy(sv[lo:hi], tv)
-			copy(sw[lo:hi], tw)
-			copy(smd[lo:hi], tm)
-		}
-		for i := lo; i < hi; i++ {
-			if wr > 0 && su[wr-1] == su[i] && sv[wr-1] == sv[i] && su[i] == int32(r) {
-				sw[wr-1] += sw[i]
-				if smd[i] < smd[wr-1] {
-					smd[wr-1] = smd[i]
-				}
-				continue
-			}
-			su[wr], sv[wr], sw[wr], smd[wr] = su[i], sv[i], sw[i], smd[i]
-			wr++
-		}
-	}
-	su, sv, sw, smd = su[:wr], sv[:wr], sw[:wr], smd[:wr]
-
-	// Symmetric CSR: each merged pair appears in both endpoint rows. Pairs
-	// are visited with the low endpoint ascending (and the high endpoint
-	// ascending within it), so every row receives its partners in ascending
-	// order without a second sort.
-	g := &graph{
-		n:        n,
-		sizes:    sizes,
-		rowPtr:   make([]int, n+1),
-		col:      make([]int32, 2*wr),
-		weight:   make([]int64, 2*wr),
-		maxDelay: make([]int64, 2*wr),
-		pairs:    wr,
-	}
-	deg := make([]int, n)
-	for k := 0; k < wr; k++ {
-		deg[su[k]]++
-		deg[sv[k]]++
-	}
-	for j := 0; j < n; j++ {
-		g.rowPtr[j+1] = g.rowPtr[j] + deg[j]
-	}
-	fill := make([]int, n)
-	copy(fill, g.rowPtr[:n])
-	for k := 0; k < wr; k++ {
-		a, b := su[k], sv[k]
-		pa, pb := fill[a], fill[b]
-		fill[a]++
-		fill[b]++
-		g.col[pa], g.weight[pa], g.maxDelay[pa] = b, sw[k], smd[k]
-		g.col[pb], g.weight[pb], g.maxDelay[pb] = a, sw[k], smd[k]
-	}
-	return g
-}
-
-// levelZero builds the finest level from a normalized PP(1,1) problem.
-// Sizes are shared, never copied or mutated.
-func levelZero(p *model.Problem) (*graph, error) {
-	c := p.Circuit
-	n := c.N()
-	pl := newPairList(len(c.Wires) + len(c.Timing))
-	for _, w := range c.Wires {
-		u, v := int32(w.From), int32(w.To)
-		if u > v {
-			u, v = v, u
-		}
-		pl.add(u, v, w.Weight, model.Unconstrained)
-	}
-	for _, t := range c.Timing {
-		u, v := int32(t.From), int32(t.To)
-		if u > v {
-			u, v = v, u
-		}
-		if t.MaxDelay < 0 {
-			return nil, fmt.Errorf("multilevel: timing budget (%d,%d) is negative: %d", t.From, t.To, t.MaxDelay)
-		}
-		pl.add(u, v, 0, t.MaxDelay)
-	}
-	return buildGraph(n, c.Sizes, pl), nil
+	*sparsemat.CSR
+	sizes []int64
 }
 
 // contract builds the next-coarser graph under the cluster map cl
-// (len g.n, values in [0,nc)). Inter-cluster arcs merge with weight sums
+// (len g.N, values in [0,nc)). Inter-cluster arcs merge with weight sums
 // and budget minima; intra-cluster wires vanish from the quadratic term
 // (their contribution is folded into the coarse linear matrix by the
 // caller, via the returned per-cluster internal weight — nil unless
@@ -217,38 +45,34 @@ func levelZero(p *model.Problem) (*graph, error) {
 // along with the constraints' meaning).
 func (g *graph) contract(cl []int32, nc int, maxDiagDelay int64, relax, needIntra bool) (*graph, []int64, error) {
 	sizes := make([]int64, nc)
-	for j := 0; j < g.n; j++ {
+	for j := 0; j < g.N; j++ {
 		sizes[cl[j]] += g.sizes[j]
 	}
 	var intra []int64
 	if needIntra {
 		intra = make([]int64, nc)
 	}
-	pl := newPairList(g.pairs)
-	for u := 0; u < g.n; u++ {
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := int(g.col[k])
+	pl := sparsemat.NewPairs(g.NNZ() / 2)
+	for u := 0; u < g.N; u++ {
+		for k, hi := g.Row(u); k < hi; k++ {
+			v := int(g.Col[k])
 			if v <= u {
 				continue
 			}
 			cu, cv := cl[u], cl[v]
 			if cu == cv {
 				if needIntra {
-					intra[cu] += g.weight[k]
+					intra[cu] += g.Weight[k]
 				}
-				if md := g.maxDelay[k]; !relax && md != model.Unconstrained && md < maxDiagDelay {
+				if md := g.MaxDelay[k]; !relax && md != model.Unconstrained && md < maxDiagDelay {
 					return nil, nil, fmt.Errorf("multilevel: contraction internalizes timing budget %d on pair (%d,%d), tighter than the worst intra-partition delay %d", md, u, v, maxDiagDelay)
 				}
 				continue
 			}
-			a, b := cu, cv
-			if a > b {
-				a, b = b, a
-			}
-			pl.add(a, b, g.weight[k], g.maxDelay[k])
+			pl.Add(cu, cv, g.Weight[k], g.MaxDelay[k])
 		}
 	}
-	return buildGraph(nc, sizes, pl), intra, nil
+	return &graph{CSR: sparsemat.FromPairs(nc, pl), sizes: sizes}, intra, nil
 }
 
 // problem materializes a level as a flat PP(1,1) instance over the original
@@ -257,16 +81,16 @@ func (g *graph) contract(cl []int32, nc int, maxDiagDelay int64, relax, needIntr
 func (g *graph) problem(name string, topo *model.Topology, lin [][]int64) (*model.Problem, error) {
 	var wires []model.Wire
 	var timing []model.TimingConstraint
-	for u := 0; u < g.n; u++ {
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := int(g.col[k])
+	for u := 0; u < g.N; u++ {
+		for k, hi := g.Row(u); k < hi; k++ {
+			v := int(g.Col[k])
 			if v <= u {
 				continue
 			}
-			if w := g.weight[k]; w > 0 {
+			if w := g.Weight[k]; w > 0 {
 				wires = append(wires, model.Wire{From: u, To: v, Weight: w})
 			}
-			if md := g.maxDelay[k]; md != model.Unconstrained {
+			if md := g.MaxDelay[k]; md != model.Unconstrained {
 				timing = append(timing, model.TimingConstraint{From: u, To: v, MaxDelay: md})
 			}
 		}
@@ -329,13 +153,13 @@ func foldLinear(linF [][]int64, cl []int32, nc int, intra []int64, cost [][]int6
 // allocate.
 func (g *graph) timingOnlyProblem(topo *model.Topology) (*model.Problem, error) {
 	var timing []model.TimingConstraint
-	for u := 0; u < g.n; u++ {
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := int(g.col[k])
+	for u := 0; u < g.N; u++ {
+		for k, hi := g.Row(u); k < hi; k++ {
+			v := int(g.Col[k])
 			if v <= u {
 				continue
 			}
-			if md := g.maxDelay[k]; md != model.Unconstrained {
+			if md := g.MaxDelay[k]; md != model.Unconstrained {
 				timing = append(timing, model.TimingConstraint{From: u, To: v, MaxDelay: md})
 			}
 		}
@@ -347,13 +171,13 @@ func (g *graph) timingOnlyProblem(topo *model.Topology) (*model.Problem, error) 
 // timingFeasibleOn reports whether a satisfies every finite budget of the
 // level (both delay directions), scanning the CSR once.
 func (g *graph) timingFeasibleOn(a []int, delay [][]int64) bool {
-	for u := 0; u < g.n; u++ {
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := int(g.col[k])
+	for u := 0; u < g.N; u++ {
+		for k, hi := g.Row(u); k < hi; k++ {
+			v := int(g.Col[k])
 			if v <= u {
 				continue
 			}
-			md := g.maxDelay[k]
+			md := g.MaxDelay[k]
 			if md == model.Unconstrained {
 				continue
 			}

@@ -21,28 +21,28 @@ import "repro/internal/model"
 // determined by the graph. Returns the cluster map and the cluster count.
 func heavyEdgeMatch(g *graph, sizeLimit, maxDiagDelay int64, relax bool) ([]int32, int) {
 	const unmatched = int32(-1)
-	mate := make([]int32, g.n)
+	mate := make([]int32, g.N)
 	for j := range mate {
 		mate[j] = unmatched
 	}
-	for u := 0; u < g.n; u++ {
+	for u := 0; u < g.N; u++ {
 		if mate[u] != unmatched {
 			continue
 		}
 		best := unmatched
 		var bestW int64 = -1
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := g.col[k]
+		for k, hi := g.Row(u); k < hi; k++ {
+			v := g.Col[k]
 			if mate[v] != unmatched || int(v) == u {
 				continue
 			}
 			if g.sizes[u]+g.sizes[v] > sizeLimit {
 				continue
 			}
-			if md := g.maxDelay[k]; !relax && md != model.Unconstrained && md < maxDiagDelay {
+			if md := g.MaxDelay[k]; !relax && md != model.Unconstrained && md < maxDiagDelay {
 				continue
 			}
-			if w := g.weight[k]; w > bestW {
+			if w := g.Weight[k]; w > bestW {
 				bestW = w
 				best = v
 			}
@@ -63,7 +63,7 @@ func heavyEdgeMatch(g *graph, sizeLimit, maxDiagDelay int64, relax bool) ([]int3
 	// guard below keeps un-internalizable budgets out, exactly as in the
 	// main pass.
 	prev := unmatched
-	for j := 0; j < g.n; j++ {
+	for j := 0; j < g.N; j++ {
 		if mate[j] != unmatched {
 			continue
 		}
@@ -80,9 +80,9 @@ func heavyEdgeMatch(g *graph, sizeLimit, maxDiagDelay int64, relax bool) ([]int3
 		}
 	}
 
-	cl := make([]int32, g.n)
+	cl := make([]int32, g.N)
 	nc := 0
-	for j := 0; j < g.n; j++ {
+	for j := 0; j < g.N; j++ {
 		if m := mate[j]; m != unmatched && int(m) < j {
 			cl[j] = cl[m] // second member of a pair reuses the head's id
 			continue
@@ -95,25 +95,17 @@ func heavyEdgeMatch(g *graph, sizeLimit, maxDiagDelay int64, relax bool) ([]int3
 
 // pairAdmissible reports whether merging unmatched components u and v would
 // internalize a timing budget tighter than maxDiagDelay. Only the (at most
-// one, post-merge) arc between them matters; the smaller row is scanned so a
-// leaf pairing against a hub stays cheap.
+// one, post-merge) arc between them matters.
 func pairAdmissible(g *graph, u, v int, maxDiagDelay int64, relax bool) bool {
 	if relax {
 		return true
 	}
-	if g.rowPtr[u+1]-g.rowPtr[u] > g.rowPtr[v+1]-g.rowPtr[v] {
-		u, v = v, u
+	k := g.Find(u, v)
+	if k < 0 {
+		return true
 	}
-	for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-		if int(g.col[k]) != v {
-			continue
-		}
-		if md := g.maxDelay[k]; md != model.Unconstrained && md < maxDiagDelay {
-			return false
-		}
-		break // rows hold at most one merged arc per partner
-	}
-	return true
+	md := g.MaxDelay[k]
+	return md == model.Unconstrained || md >= maxDiagDelay
 }
 
 // maxDiagDelay returns max_i d[i][i] — the worst routing delay a pair of

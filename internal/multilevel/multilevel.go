@@ -10,6 +10,7 @@ import (
 	"repro/internal/kl"
 	"repro/internal/model"
 	"repro/internal/qbp"
+	"repro/internal/sparsemat"
 	"repro/internal/validate"
 )
 
@@ -108,7 +109,7 @@ type level struct {
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
 // LevelSize returns the component count of level k.
-func (h *Hierarchy) LevelSize(k int) int { return h.levels[k].g.n }
+func (h *Hierarchy) LevelSize(k int) int { return h.levels[k].g.N }
 
 // Problem materializes level k as a flat PP(1,1) instance over the
 // original topology. Level 0 is the input problem with parallel wires
@@ -128,7 +129,7 @@ func (h *Hierarchy) Project(k int, a model.Assignment) model.Assignment {
 	cur := append([]int(nil), a...)
 	for l := k; l > 0; l-- {
 		cl := h.maps[l-1]
-		fine := make([]int, h.levels[l-1].g.n)
+		fine := make([]int, h.levels[l-1].g.N)
 		for j := range fine {
 			fine[j] = cur[cl[j]]
 		}
@@ -151,14 +152,11 @@ func Coarsen(p *model.Problem, opts Options) (*Hierarchy, error) {
 	if err := validate.CheckBudgets(norm.N(), norm.Circuit.Timing); err != nil {
 		return nil, err
 	}
-	g0, err := levelZero(norm)
-	if err != nil {
-		return nil, err
-	}
+	g0 := &graph{CSR: sparsemat.Build(norm.Circuit), sizes: norm.Circuit.Sizes}
 	h := &Hierarchy{
 		norm:   norm,
 		levels: []*level{{g: g0, lin: norm.Linear}},
-		stats:  []LevelStat{{Level: 0, N: g0.n, Pairs: g0.pairs}},
+		stats:  []LevelStat{{Level: 0, N: g0.N, Pairs: g0.NNZ() / 2}},
 	}
 
 	target := opts.coarsenTarget()
@@ -186,7 +184,7 @@ func Coarsen(p *model.Problem, opts Options) (*Hierarchy, error) {
 
 	for len(h.levels) < maxLevels {
 		top := h.levels[len(h.levels)-1]
-		if top.g.n <= target {
+		if top.g.N <= target {
 			break
 		}
 		// Clusters must stay placeable: cap merged size at 3/2 of the
@@ -200,21 +198,21 @@ func Coarsen(p *model.Problem, opts Options) (*Hierarchy, error) {
 			limit = 1
 		}
 		cl, nc := heavyEdgeMatch(top.g, limit, maxDiag, relax)
-		if nc > top.g.n-top.g.n/20 {
+		if nc > top.g.N-top.g.N/20 {
 			break // matching stalled; a deeper hierarchy would not shrink
 		}
 		cg, intra, err := top.g.contract(cl, nc, maxDiag, relax, needIntra)
 		if err != nil {
 			return nil, err
 		}
-		for _, md := range cg.maxDelay {
+		for _, md := range cg.MaxDelay {
 			if md != model.Unconstrained && md < 0 {
 				return nil, fmt.Errorf("multilevel: contraction produced a negative timing budget %d at level %d", md, len(h.levels))
 			}
 		}
 		h.maps = append(h.maps, cl)
 		h.levels = append(h.levels, &level{g: cg, lin: foldLinear(top.lin, cl, nc, intra, topo.Cost)})
-		h.stats = append(h.stats, LevelStat{Level: len(h.levels) - 1, N: cg.n, Pairs: cg.pairs})
+		h.stats = append(h.stats, LevelStat{Level: len(h.levels) - 1, N: cg.N, Pairs: cg.NNZ() / 2})
 	}
 	return h, nil
 }
@@ -302,7 +300,7 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 			break
 		}
 		cl := h.maps[k-1]
-		fine := make([]int, h.levels[k-1].g.n)
+		fine := make([]int, h.levels[k-1].g.N)
 		for j := range fine {
 			fine[j] = cur[cl[j]]
 		}
@@ -330,7 +328,7 @@ func refineLevel(ctx context.Context, ck *interrupt.Checker, h *Hierarchy, k int
 	}
 	lvl := h.levels[k]
 	topo := h.norm.Topology
-	n := lvl.g.n
+	n := lvl.g.N
 	timingOK := relax || lvl.g.timingFeasibleOn(cur, topo.Delay)
 	if !timingOK {
 		// Projection is exact, so these violations came down from the

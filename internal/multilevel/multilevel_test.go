@@ -3,11 +3,13 @@ package multilevel
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/qbp"
+	"repro/internal/sparsemat"
 )
 
 // testInstance generates a deterministic synthetic problem.
@@ -32,15 +34,12 @@ func testInstance(t testing.TB, n, wires, timing int, seed int64) *model.Problem
 // reproduces the flat solve".
 func TestIdentityContraction(t *testing.T) {
 	p := testInstance(t, 200, 800, 300, 1).Normalized()
-	g, err := levelZero(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := make([]int32, g.n)
+	g := &graph{CSR: sparsemat.Build(p.Circuit), sizes: p.Circuit.Sizes}
+	cl := make([]int32, g.N)
 	for j := range cl {
 		cl[j] = int32(j)
 	}
-	cg, intra, err := g.contract(cl, g.n, maxDiagDelay(p.Topology.Delay), false, true)
+	cg, intra, err := g.contract(cl, g.N, maxDiagDelay(p.Topology.Delay), false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,24 +48,11 @@ func TestIdentityContraction(t *testing.T) {
 			t.Fatalf("identity contraction folded intra weight %d at cluster %d", w, c)
 		}
 	}
-	if cg.n != g.n || cg.pairs != g.pairs {
-		t.Fatalf("identity contraction changed shape: n %d→%d pairs %d→%d", g.n, cg.n, g.pairs, cg.pairs)
+	if !reflect.DeepEqual(cg.CSR, g.CSR) {
+		t.Fatal("identity contraction changed the coupling graph")
 	}
-	for j := 0; j <= g.n; j++ {
-		if cg.rowPtr[j] != g.rowPtr[j] {
-			t.Fatalf("rowPtr diverged at %d", j)
-		}
-	}
-	for k := range g.col {
-		if cg.col[k] != g.col[k] || cg.weight[k] != g.weight[k] || cg.maxDelay[k] != g.maxDelay[k] {
-			t.Fatalf("arc %d diverged: (%d,%d,%d) vs (%d,%d,%d)", k,
-				cg.col[k], cg.weight[k], cg.maxDelay[k], g.col[k], g.weight[k], g.maxDelay[k])
-		}
-	}
-	for j, s := range g.sizes {
-		if cg.sizes[j] != s {
-			t.Fatalf("size diverged at %d", j)
-		}
+	if !reflect.DeepEqual(cg.sizes, g.sizes) {
+		t.Fatal("identity contraction changed the sizes")
 	}
 }
 

@@ -37,7 +37,7 @@ func TestManualProfile(t *testing.T) {
 	}
 	fmt.Printf("coarsen         %v (%d levels)\n", time.Since(t0), h.Levels())
 	for k, lv := range h.levels {
-		fmt.Printf("  level %2d: n=%8d pairs=%8d\n", k, lv.g.n, lv.g.pairs)
+		fmt.Printf("  level %2d: n=%8d pairs=%8d\n", k, lv.g.N, lv.g.NNZ()/2)
 	}
 
 	t0 = time.Now()

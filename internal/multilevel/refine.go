@@ -28,15 +28,15 @@ func sweepRefine(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 	d := topo.Delay
 	bp := func(x, y int) int64 { return b[x][y] + b[y][x] }
 
-	cur := bitset.New(g.n)
-	next := bitset.New(g.n)
+	cur := bitset.New(g.N)
+	next := bitset.New(g.N)
 	// Seed with the boundary of the incoming (projected) assignment: any
 	// component with a wire crossing partitions. Interior components can
 	// only gain from linear terms or same-partition diagonal couplings;
 	// those are reachable once a neighbor's move dirties them.
-	for u := 0; u < g.n; u++ {
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			if g.weight[k] != 0 && a[g.col[k]] != a[u] {
+	for u := 0; u < g.N; u++ {
+		for k, hi := g.Row(u); k < hi; k++ {
+			if g.Weight[k] != 0 && a[g.Col[k]] != a[u] {
 				cur.Set(u)
 				break
 			}
@@ -66,12 +66,12 @@ func sweepRefine(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 						row[t] = 0
 					}
 				}
-				for k := g.rowPtr[j]; k < g.rowPtr[j+1]; k++ {
-					w := g.weight[k]
+				for k, hi := g.Row(j); k < hi; k++ {
+					w := g.Weight[k]
 					if w == 0 {
 						continue
 					}
-					av := a[g.col[k]]
+					av := a[g.Col[k]]
 					base := w * bp(f, av)
 					for t := 0; t < m; t++ {
 						row[t] += w*bp(t, av) - base
@@ -99,9 +99,9 @@ func sweepRefine(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 				moves++
 				passMoves++
 				next.Set(j)
-				for k := g.rowPtr[j]; k < g.rowPtr[j+1]; k++ {
-					if g.weight[k] != 0 {
-						next.Set(int(g.col[k]))
+				for k, hi := g.Row(j); k < hi; k++ {
+					if g.Weight[k] != 0 {
+						next.Set(int(g.Col[k]))
 					}
 				}
 			}
@@ -133,12 +133,12 @@ func repairSweep(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 
 	violAt := func(j, at int) int {
 		v := 0
-		for k := g.rowPtr[j]; k < g.rowPtr[j+1]; k++ {
-			md := g.maxDelay[k]
+		for k, hi := g.Row(j); k < hi; k++ {
+			md := g.MaxDelay[k]
 			if md == model.Unconstrained {
 				continue
 			}
-			o := a[g.col[k]]
+			o := a[g.Col[k]]
 			if d[at][o] > md || d[o][at] > md {
 				v++
 			}
@@ -147,10 +147,10 @@ func repairSweep(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 	}
 	total := func() int {
 		t := 0
-		for u := 0; u < g.n; u++ {
-			for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-				v := int(g.col[k])
-				md := g.maxDelay[k]
+		for u := 0; u < g.N; u++ {
+			for k, hi := g.Row(u); k < hi; k++ {
+				v := int(g.Col[k])
+				md := g.MaxDelay[k]
 				if v <= u || md == model.Unconstrained {
 					continue
 				}
@@ -170,7 +170,7 @@ func repairSweep(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 			break
 		}
 		moved := false
-		for j := 0; j < g.n; j++ {
+		for j := 0; j < g.N; j++ {
 			if ck.Stop() {
 				return total()
 			}
@@ -186,12 +186,12 @@ func repairSweep(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 					row[t] = 0
 				}
 			}
-			for k := g.rowPtr[j]; k < g.rowPtr[j+1]; k++ {
-				w := g.weight[k]
+			for k, hi := g.Row(j); k < hi; k++ {
+				w := g.Weight[k]
 				if w == 0 {
 					continue
 				}
-				av := a[g.col[k]]
+				av := a[g.Col[k]]
 				base := w * bp(f, av)
 				for t := 0; t < m; t++ {
 					row[t] += w*bp(t, av) - base
@@ -227,12 +227,12 @@ func repairSweep(ck *interrupt.Checker, g *graph, lin [][]int64, topo *model.Top
 // every finite budget against the current positions of its partners (both
 // delay directions).
 func moveTimingOK(g *graph, a []int, d [][]int64, j, t int) bool {
-	for k := g.rowPtr[j]; k < g.rowPtr[j+1]; k++ {
-		md := g.maxDelay[k]
+	for k, hi := g.Row(j); k < hi; k++ {
+		md := g.MaxDelay[k]
 		if md == model.Unconstrained {
 			continue
 		}
-		o := a[g.col[k]]
+		o := a[g.Col[k]]
 		if d[t][o] > md || d[o][t] > md {
 			return false
 		}

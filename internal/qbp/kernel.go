@@ -1,8 +1,11 @@
 package qbp
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/flatmat"
+	"repro/internal/model"
 	"repro/internal/qmatrix"
 	"repro/internal/sparsemat"
 )
@@ -16,20 +19,24 @@ import (
 // exactly the access pattern of the GAP subproblems, so STEP 4 hands the η
 // vector to gap.Solve with no copy and no float64 round-trip.
 
-// initKernel builds the flat solve state from the solver's topology: the CSR
-// coupling matrix, the per-(delay-class, partition) effective rows, and the
-// flat linear-cost mirror. Must run after s.penalty and s.relax are final.
+// initKernel builds the flat solve state from the solver's topology and
+// coupling graph: the per-arc delay classes, the per-(delay-class,
+// partition) effective rows, and the flat linear-cost mirror. Must run
+// after s.penalty and s.relax are final.
 func (s *solver) initKernel() {
 	bm := flatmat.FromRows(s.b)
 	dm := flatmat.FromRows(s.d)
 	if s.relax {
 		// Timing relaxed: every arc behaves as unconstrained, so no
 		// penalty rows are needed at all.
-		s.csr = sparsemat.FromLists(s.adj, nil)
+		s.class = make([]int32, s.csr.NNZ())
+		for k := range s.class {
+			s.class[k] = flatmat.UnconstrainedClass
+		}
 		s.kern = flatmat.NewKernel(bm, dm, nil, 0)
 	} else {
-		bounds, classes := s.adj.DelayClasses()
-		s.csr = sparsemat.FromLists(s.adj, classes)
+		var bounds []int64
+		bounds, s.class = delayClasses(s.csr)
 		s.kern = flatmat.NewKernel(bm, dm, bounds, s.penalty)
 	}
 	if s.p.Linear != nil {
@@ -40,6 +47,31 @@ func (s *solver) initKernel() {
 			}
 		}
 	}
+}
+
+// delayClasses returns the sorted distinct finite MaxDelay values of the
+// coupling graph ("delay classes") and, aligned with its arcs, the class of
+// every arc (flatmat.UnconstrainedClass for arcs without a timing bound).
+// The flat kernels precompute one effective cost row per (class, partition)
+// pair, which is only economical because real circuits carry a handful of
+// distinct bounds.
+func delayClasses(cs *sparsemat.CSR) (bounds []int64, class []int32) {
+	for _, md := range cs.MaxDelay {
+		if md != model.Unconstrained {
+			bounds = append(bounds, md)
+		}
+	}
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	class = make([]int32, len(cs.MaxDelay))
+	for k, md := range cs.MaxDelay {
+		class[k] = flatmat.UnconstrainedClass
+		if md != model.Unconstrained {
+			c, _ := slices.BinarySearch(bounds, md)
+			class[k] = int32(c)
+		}
+	}
+	return bounds, class
 }
 
 // scratch is the solver-owned reusable buffer set. One scratch serves many
@@ -173,9 +205,9 @@ func (s *solver) accumColCSR(col []int64, u []int, j2 int) {
 	cs := s.csr
 	lo, hi := cs.Row(j2)
 	for k := lo; k < hi; k++ {
-		c := cs.Class[k]
+		c := s.class[k]
 		w := cs.Weight[k]
-		if c == sparsemat.UnconstrainedClass {
+		if c == flatmat.UnconstrainedClass {
 			if w == 0 {
 				continue
 			}
@@ -213,10 +245,10 @@ func (s *solver) moveRow(row []int64, u []int, j int) {
 	cs := s.csr
 	lo, hi := cs.Row(j)
 	for k := lo; k < hi; k++ {
-		c := cs.Class[k]
+		c := s.class[k]
 		w := cs.Weight[k]
 		o := u[cs.Col[k]]
-		if c == sparsemat.UnconstrainedClass {
+		if c == flatmat.UnconstrainedClass {
 			if w == 0 {
 				continue
 			}
@@ -284,14 +316,14 @@ func (s *solver) updateColCSR(col []int64, oldU, newU []int, o int) {
 		if !moved.Test(j) {
 			continue
 		}
-		s.swapPartnerRow(col, int(cs.Class[k]), cs.Weight[k], oldU[j], newU[j])
+		s.swapPartnerRow(col, int(s.class[k]), cs.Weight[k], oldU[j], newU[j])
 	}
 }
 
 // swapPartnerRow applies one partner relocation from partition from to
 // partition to onto col: the fused (new − old) effective-row pass.
 func (s *solver) swapPartnerRow(col []int64, c int, w int64, from, to int) {
-	if c == sparsemat.UnconstrainedClass {
+	if c == flatmat.UnconstrainedClass {
 		if w == 0 {
 			return
 		}

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/adjacency"
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 )
 
 // penaltySolver builds just enough of a solver to call autoPenalty, the
@@ -25,7 +25,7 @@ func penaltySolver(t *testing.T, wires []model.Wire, maxB int64) *solver {
 	norm := p.Normalized()
 	return &solver{
 		p:   norm,
-		adj: adjacency.Build(norm.Circuit),
+		csr: sparsemat.Build(norm.Circuit),
 		m:   norm.M(),
 		n:   norm.N(),
 		b:   norm.Topology.Cost,

@@ -23,24 +23,27 @@ func referenceComputeEta(s *solver, u []int, eta [][]float64) {
 			row[j] = 0
 		}
 	}
+	cs := s.csr
 	for j2 := 0; j2 < s.n; j2++ {
-		for _, arc := range s.adj.Arcs[j2] {
-			i1 := u[arc.Other]
+		lo, hi := cs.Row(j2)
+		for k := lo; k < hi; k++ {
+			i1 := u[cs.Col[k]]
+			w, md := cs.Weight[k], cs.MaxDelay[k]
 			brow := s.b[i1]
 			drow := s.d[i1]
-			if s.relax || arc.MaxDelay == model.Unconstrained {
-				if arc.Weight == 0 {
+			if s.relax || md == model.Unconstrained {
+				if w == 0 {
 					continue
 				}
 				for i2 := 0; i2 < s.m; i2++ {
-					eta[i2][j2] += float64(arc.Weight * brow[i2])
+					eta[i2][j2] += float64(w * brow[i2])
 				}
 			} else {
 				for i2 := 0; i2 < s.m; i2++ {
-					if drow[i2] > arc.MaxDelay {
+					if drow[i2] > md {
 						eta[i2][j2] += float64(s.penalty)
 					} else {
-						eta[i2][j2] += float64(arc.Weight * brow[i2])
+						eta[i2][j2] += float64(w * brow[i2])
 					}
 				}
 			}

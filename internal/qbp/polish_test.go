@@ -26,7 +26,7 @@ func referenceMoveDelta(s *solver, u []int, j, to int) int64 {
 	lo, hi := cs.Row(j)
 	for k := lo; k < hi; k++ {
 		o := u[cs.Col[k]]
-		c := int(cs.Class[k])
+		c := int(s.class[k])
 		w := cs.Weight[k]
 		delta += s.pairCost(to, o, c, w) - s.pairCost(cur, o, c, w)
 	}

@@ -10,8 +10,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/flatmat"
 	"repro/internal/model"
 	"repro/internal/qmatrix"
+	"repro/internal/sparsemat"
 	"repro/internal/testgen"
 )
 
@@ -85,4 +87,61 @@ func FuzzRepEquality(f *testing.F) {
 			checkMoveRow(t, s, u, rng.Intn(s.n), value, fmt.Sprintf("probe %d", probe))
 		}
 	})
+}
+
+// TestDelayClasses checks the kernels' per-arc class array: the sorted
+// distinct finite budgets, and every arc's class naming its own budget
+// (flatmat.UnconstrainedClass for arcs without one).
+func TestDelayClasses(t *testing.T) {
+	c := &model.Circuit{
+		Sizes: []int64{1, 1, 1, 1},
+		Wires: []model.Wire{{From: 0, To: 1, Weight: 2}, {From: 2, To: 3, Weight: 1}},
+		Timing: []model.TimingConstraint{
+			{From: 0, To: 1, MaxDelay: 5},
+			{From: 1, To: 2, MaxDelay: 2},
+			{From: 2, To: 3, MaxDelay: 5},
+		},
+	}
+	cs := sparsemat.Build(c)
+	bounds, class := delayClasses(cs)
+	if len(bounds) != 2 || bounds[0] != 2 || bounds[1] != 5 {
+		t.Fatalf("bounds = %v, want [2 5]", bounds)
+	}
+	if len(class) != cs.NNZ() {
+		t.Fatalf("%d classes for %d arcs", len(class), cs.NNZ())
+	}
+	for k, md := range cs.MaxDelay {
+		switch {
+		case md == model.Unconstrained && class[k] != flatmat.UnconstrainedClass:
+			t.Fatalf("arc %d unconstrained but class %d", k, class[k])
+		case md != model.Unconstrained && bounds[class[k]] != md:
+			t.Fatalf("arc %d bound %d but class %d (bound %d)", k, md, class[k], bounds[class[k]])
+		}
+	}
+}
+
+// With timing relaxed the budgets are ignored entirely: every arc is
+// unconstrained, while the enforced solver on the same instance sees the
+// finite classes.
+func TestRelaxClassesAllUnconstrained(t *testing.T) {
+	p, _ := testgen.Random(rand.New(rand.NewSource(2)), testgen.Config{N: 20, TimingProb: 0.5})
+	relaxed := newTestSolver(p, DefaultPenalty, true)
+	if len(relaxed.class) != relaxed.csr.NNZ() {
+		t.Fatalf("%d classes for %d arcs", len(relaxed.class), relaxed.csr.NNZ())
+	}
+	for k, c := range relaxed.class {
+		if c != flatmat.UnconstrainedClass {
+			t.Fatalf("relaxed arc %d: class %d, want UnconstrainedClass", k, c)
+		}
+	}
+	enforced := newTestSolver(p, DefaultPenalty, false)
+	bounded := 0
+	for _, c := range enforced.class {
+		if c != flatmat.UnconstrainedClass {
+			bounded++
+		}
+	}
+	if bounded == 0 {
+		t.Fatal("enforced solver found no bounded arc; the instance needs timing constraints")
+	}
 }

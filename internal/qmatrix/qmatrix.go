@@ -12,14 +12,15 @@
 //     timing-feasible it is optimal for the original problem.
 //
 // Dense matrices are only for small instances and tests; the solvers
-// enumerate Q̂'s nonzeros from adjacency lists instead (paper §4.3).
+// enumerate Q̂'s nonzeros from the sparse coupling graph instead (paper
+// §4.3).
 package qmatrix
 
 import (
 	"math"
 
-	"repro/internal/adjacency"
 	"repro/internal/model"
+	"repro/internal/sparsemat"
 )
 
 // Pack maps (partition i, component j) to the flat index
@@ -33,15 +34,15 @@ func Unpack(r, m int) (i, j int) { return r % m, r / m }
 // feasible pairs R: assigning j1→i1 and j2→i2 does not violate the timing
 // constraint from j1 to j2, i.e. D(i1,i2) ≤ D_C(j1,j2). Pairs with j1 == j2
 // are vacuously feasible here (they are excluded by C3, not by timing).
-func FeasiblePair(adj *adjacency.Lists, delay [][]int64, i1, j1, i2, j2 int) bool {
+func FeasiblePair(cs *sparsemat.CSR, delay [][]int64, i1, j1, i2, j2 int) bool {
 	if j1 == j2 {
 		return true
 	}
-	dc := adj.MaxDelay(j1, j2)
-	if dc == model.Unconstrained {
+	k := cs.Find(j1, j2)
+	if k < 0 || cs.MaxDelay[k] == model.Unconstrained {
 		return true
 	}
-	return delay[i1][i2] <= dc
+	return delay[i1][i2] <= cs.MaxDelay[k]
 }
 
 // DenseBase builds the M·N × M·N cost matrix Q of §3.1 with the scaling
@@ -49,7 +50,7 @@ func FeasiblePair(adj *adjacency.Lists, delay [][]int64, i1, j1, i2, j2 int) boo
 // β·a[j1][j2]·b[i1][i2] with A interpreted symmetrically. No timing
 // embedding is applied.
 func DenseBase(p *model.Problem) [][]int64 {
-	return dense(p, nil, 0)
+	return dense(p, 0)
 }
 
 // DenseQhat builds the soft-embedded cost matrix Q̂ of Theorem 2: like
@@ -58,8 +59,7 @@ func DenseBase(p *model.Problem) [][]int64 {
 // worked example (where the 5·2 coupling at a timing-violating slot appears
 // as 50, not 60).
 func DenseQhat(p *model.Problem, penalty int64) [][]int64 {
-	adj := adjacency.Build(p.Circuit)
-	return dense(p, adj, penalty)
+	return dense(p, penalty)
 }
 
 // DenseTheorem1 builds the exactly-embedded matrix Q' of Theorem 1 and
@@ -78,12 +78,10 @@ func DenseTheorem1(p *model.Problem) ([][]int64, int64) {
 		}
 	}
 	u := 2*sum + 1
-	adj := adjacency.Build(p.Circuit)
-	q := dense(p, adj, u)
-	return q, u
+	return dense(p, u), u
 }
 
-func dense(p *model.Problem, adj *adjacency.Lists, penalty int64) [][]int64 {
+func dense(p *model.Problem, penalty int64) [][]int64 {
 	m, n := p.M(), p.N()
 	mn := m * n
 	b := p.Topology.Cost
@@ -97,24 +95,16 @@ func dense(p *model.Problem, adj *adjacency.Lists, penalty int64) [][]int64 {
 			q[Pack(i, j, m)][Pack(i, j, m)] = p.Alpha * p.LinearAt(i, j)
 		}
 	}
-	var weights [][]int64 // weights[j1][j2] = a, symmetric
-	if adj == nil {
-		adj = adjacency.Build(p.Circuit)
-	}
-	weights = make([][]int64, n)
-	for j := 0; j < n; j++ {
-		weights[j] = make([]int64, n)
-		for _, arc := range adj.Arcs[j] {
-			weights[j][arc.Other] = arc.Weight
-		}
-	}
+	cs := sparsemat.Build(p.Circuit)
 	for j1 := 0; j1 < n; j1++ {
 		for j2 := 0; j2 < n; j2++ {
 			if j1 == j2 {
 				continue
 			}
-			w := weights[j1][j2]
-			dc := adj.MaxDelay(j1, j2)
+			w, dc := int64(0), model.Unconstrained
+			if k := cs.Find(j1, j2); k >= 0 {
+				w, dc = cs.Weight[k], cs.MaxDelay[k]
+			}
 			for i1 := 0; i1 < m; i1++ {
 				for i2 := 0; i2 < m; i2++ {
 					r1, r2 := Pack(i1, j1, m), Pack(i2, j2, m)
@@ -152,9 +142,9 @@ func Value(q [][]int64, a model.Assignment, m int) int64 {
 // Because every y ∈ S assigns each component to exactly one partition (C3),
 // the column sum decomposes per component, so
 // ω_r = q̂[r][r] + Σ_{j2≠j1} max_{i2} q̂[r][(i2,j2)] is a valid bound. It is
-// computed sparsely from the adjacency lists in O(M·nnz); components not
-// coupled to j1 contribute only zero entries.
-func Omega(p *model.Problem, adj *adjacency.Lists, penalty int64) []int64 {
+// computed sparsely from the coupling graph cs of p in O(M·nnz); components
+// not coupled to j1 contribute only zero entries.
+func Omega(p *model.Problem, cs *sparsemat.CSR, penalty int64) []int64 {
 	m, n := p.M(), p.N()
 	b := p.Topology.Cost
 	d := p.Topology.Delay
@@ -169,19 +159,20 @@ func Omega(p *model.Problem, adj *adjacency.Lists, penalty int64) []int64 {
 		}
 	}
 	for j1 := 0; j1 < n; j1++ {
+		lo, hi := cs.Row(j1)
 		for i1 := 0; i1 < m; i1++ {
 			w := p.Alpha * p.LinearAt(i1, j1)
-			for _, arc := range adj.Arcs[j1] {
-				// max over i2 of the (i1,j1)-(i2,arc.Other) entry:
-				// either the raised penalty (if some i2 violates the
-				// timing bound) or the largest wire coupling.
+			for k := lo; k < hi; k++ {
+				// max over i2 of the (i1,j1)-(i2,Col[k]) entry: either
+				// the raised penalty (if some i2 violates the timing
+				// bound) or the largest wire coupling.
 				best := int64(0)
-				if arc.Weight > 0 {
-					best = p.Beta * arc.Weight * maxB[i1]
+				if wt := cs.Weight[k]; wt > 0 {
+					best = p.Beta * wt * maxB[i1]
 				}
-				if arc.MaxDelay != model.Unconstrained {
+				if md := cs.MaxDelay[k]; md != model.Unconstrained {
 					for i2 := 0; i2 < m; i2++ {
-						if d[i1][i2] > arc.MaxDelay {
+						if d[i1][i2] > md {
 							if penalty > best {
 								best = penalty
 							}

@@ -4,12 +4,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adjacency"
 	"repro/internal/bruteforce"
 	"repro/internal/geometry"
 	"repro/internal/model"
 	"repro/internal/paperex"
 	. "repro/internal/qmatrix"
+	"repro/internal/sparsemat"
 )
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -203,8 +203,8 @@ func TestOmegaIsValidBound(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		p := randomProblem(rng, 4, trial%2 == 0)
 		const penalty = 50
-		adj := adjacency.Build(p.Circuit)
-		omega := Omega(p, adj, penalty)
+		cs := sparsemat.Build(p.Circuit)
+		omega := Omega(p, cs, penalty)
 		qhat := DenseQhat(p, penalty)
 		m, n := p.M(), p.N()
 		a := make(model.Assignment, n)
@@ -252,13 +252,13 @@ func TestDenseTheorem1UDominates(t *testing.T) {
 		t.Fatalf("U = %d does not satisfy U > 2Σ|q| = %d", u, 2*sum)
 	}
 	// Every infeasible slot holds exactly U, every feasible slot matches base.
-	adj := adjacency.Build(p.Circuit)
+	cs := sparsemat.Build(p.Circuit)
 	m, n := p.M(), p.N()
 	for r1 := 0; r1 < m*n; r1++ {
 		i1, j1 := Unpack(r1, m)
 		for r2 := 0; r2 < m*n; r2++ {
 			i2, j2 := Unpack(r2, m)
-			if FeasiblePair(adj, p.Topology.Delay, i1, j1, i2, j2) {
+			if FeasiblePair(cs, p.Topology.Delay, i1, j1, i2, j2) {
 				if q[r1][r2] != base[r1][r2] {
 					t.Fatalf("feasible slot (%d,%d) altered: %d != %d", r1, r2, q[r1][r2], base[r1][r2])
 				}

@@ -6,10 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/adjacency"
 	"repro/internal/geometry"
 	"repro/internal/model"
 	. "repro/internal/qmatrix"
+	"repro/internal/sparsemat"
 )
 
 // quickSeed generates small random instances for the quick properties.
@@ -82,13 +82,13 @@ func TestQuickQhatCoincidesOverR(t *testing.T) {
 		penalty := int64(rawPen) + 1
 		base := DenseBase(p)
 		qhat := DenseQhat(p, penalty)
-		adj := adjacency.Build(p.Circuit)
+		cs := sparsemat.Build(p.Circuit)
 		m, n := p.M(), p.N()
 		for r1 := 0; r1 < m*n; r1++ {
 			i1, j1 := Unpack(r1, m)
 			for r2 := 0; r2 < m*n; r2++ {
 				i2, j2 := Unpack(r2, m)
-				if FeasiblePair(adj, p.Topology.Delay, i1, j1, i2, j2) {
+				if FeasiblePair(cs, p.Topology.Delay, i1, j1, i2, j2) {
 					if qhat[r1][r2] != base[r1][r2] {
 						return false
 					}
