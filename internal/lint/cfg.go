@@ -34,13 +34,12 @@ type Block struct {
 
 // CFG is the control-flow graph of one function body. Exit is the single
 // synthetic exit block every return, panic and fall-off-the-end reaches.
-// Deferred calls are not spliced into the exit edges; they are recorded in
-// Defers (in source order — they run LIFO) for analyzers that model them.
+// Deferred calls are not spliced into the exit edges; a defer statement is
+// an ordinary node of the block it appears in.
 type CFG struct {
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block
-	Defers []*ast.DeferStmt
 }
 
 // BuildCFG constructs the CFG of one function body. It never fails: constructs
@@ -151,7 +150,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		defer func() { b.pendingLabel = "" }()
 	}
 	switch s := s.(type) {
-	case *ast.DeclStmt, *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.GoStmt:
+	case *ast.DeclStmt, *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.GoStmt, *ast.DeferStmt:
 		b.add(s)
 	case *ast.EmptyStmt:
 		// nothing
@@ -160,9 +159,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if isPanicCall(s.X) {
 			b.terminate(b.g.Exit)
 		}
-	case *ast.DeferStmt:
-		b.add(s)
-		b.g.Defers = append(b.g.Defers, s)
 	case *ast.ReturnStmt:
 		b.add(s)
 		b.terminate(b.g.Exit)

@@ -175,23 +175,6 @@ done:
 	}
 }
 
-// TestCFGDefersRecorded checks defer statements are collected in source
-// order for the analyzers that model function-exit effects.
-func TestCFGDefersRecorded(t *testing.T) {
-	g := buildTestCFG(t, `
-	defer println("a")
-	if true {
-		defer println("b")
-	}
-	panic("x")`)
-	if len(g.Defers) != 2 {
-		t.Fatalf("Defers = %d, want 2", len(g.Defers))
-	}
-	if g.Defers[0].Pos() >= g.Defers[1].Pos() {
-		t.Errorf("defers not in source order")
-	}
-}
-
 // TestCFGShortCircuit checks && / || decompose into per-leaf condition
 // blocks with true-first edge ordering.
 func TestCFGShortCircuit(t *testing.T) {
