@@ -113,7 +113,7 @@ func TestBitsetSolveInvariantAcrossWorkers(t *testing.T) {
 		p := repTestInstance(rng, trial)
 		var ref *Result
 		for _, workers := range []int{1, 2, 8} {
-			res, err := SolveMultiStart(context.Background(), p, MultiStartOptions{
+			res, err := solveMultiStart(t, context.Background(), p, MultiStartOptions{
 				Base: Options{Iterations: 25, Seed: int64(trial)}, Starts: 4, Workers: workers,
 			})
 			if err != nil {

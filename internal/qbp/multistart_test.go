@@ -15,7 +15,7 @@ func TestMultiStartPicksBestOfSequential(t *testing.T) {
 	p, _ := testgen.Random(rng, testgen.Config{N: 16, TimingProb: 0.3})
 	base := Options{Iterations: 30, Seed: 5}
 
-	multi, err := SolveMultiStart(context.Background(), p, MultiStartOptions{Base: base, Starts: 4})
+	multi, err := solveMultiStart(t, context.Background(), p, MultiStartOptions{Base: base, Starts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestMultiStartDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	p, _ := testgen.Random(rng, testgen.Config{N: 14, TimingProb: 0.3})
 	o := MultiStartOptions{Base: Options{Iterations: 20, Seed: 1}, Starts: 6, Workers: 3}
-	a, err := SolveMultiStart(context.Background(), p, o)
+	a, err := solveMultiStart(t, context.Background(), p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveMultiStart(context.Background(), p, o)
+	b, err := solveMultiStart(t, context.Background(), p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMultiStartNeverWorseThanSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := SolveMultiStart(context.Background(), p, MultiStartOptions{Base: base, Starts: 4})
+		multi, err := solveMultiStart(t, context.Background(), p, MultiStartOptions{Base: base, Starts: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestMultiStartPropagatesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	p, _ := testgen.Random(rng, testgen.Config{N: 8})
 	p.Circuit.Sizes[0] = -1
-	if _, err := SolveMultiStart(context.Background(), p, MultiStartOptions{Starts: 3}); err == nil {
+	if _, err := solveMultiStart(t, context.Background(), p, MultiStartOptions{Starts: 3}); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }
@@ -93,7 +93,7 @@ func TestMultiStartDefaults(t *testing.T) {
 	assertNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(48))
 	p, _ := testgen.Random(rng, testgen.Config{N: 10})
-	res, err := SolveMultiStart(context.Background(), p, MultiStartOptions{Base: Options{Iterations: 10}})
+	res, err := solveMultiStart(t, context.Background(), p, MultiStartOptions{Base: Options{Iterations: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
