@@ -16,18 +16,19 @@ test-race:
 # Perf artifact: the paper tables/ablations (one full solve per op), the
 # multilevel V-cycle sweep, plus the kernel micro-benchmarks (the CSR
 # density sweeps, the in-loop polish, the GAP solve sweep, the gain-table
-# move and swap scan, the bit-packed membership kernels, and the
-# text-vs-binary serializers), 6 repetitions each, folded into
-# BENCH_PR19.json (ns/op, allocs/op, and the finalWL quality metric per
-# instance).
+# move and swap scan, the bit-packed membership kernels, the
+# text-vs-binary serializers, and the coupling-graph build), 6 repetitions
+# each, folded into BENCH_PR19.json (ns/op, allocs/op, and the finalWL
+# quality metric per instance).
 BENCHJSON ?= BENCH_PR19.json
-BENCH_MICRO = ComputeEta|PenalizedValue|Polish|GAPSolve|EtaIncrementalSweep|GainsApply|SwapScan|BitsetMembership|BinaryReadWrite
+BENCH_MICRO = ComputeEta|PenalizedValue|Polish|GAPSolve|EtaIncrementalSweep|GainsApply|SwapScan|BitsetMembership|BinaryReadWrite|CSRBuild
 
 bench:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) test -bench . -benchmem -benchtime 1x -count 6 -run '^$$' . > $$tmp/tables.txt; \
 	$(GO) test -bench '$(BENCH_MICRO)' -benchmem -benchtime 200ms -count 6 -run '^$$' \
-		./internal/qbp ./internal/gap ./internal/gains ./internal/bitset ./internal/textio > $$tmp/micro.txt; \
+		./internal/qbp ./internal/gap ./internal/gains ./internal/bitset ./internal/textio \
+		./internal/sparsemat > $$tmp/micro.txt; \
 	$(GO) run ./cmd/benchjson -o $(BENCHJSON) $$tmp/tables.txt $$tmp/micro.txt; \
 	echo "wrote $(BENCHJSON)"
 
